@@ -187,6 +187,10 @@ def _resolve_common(cfg: dict, args) -> dict:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ConfigError("a seed is mandatory (config key 'seed' or --seed)")
+    try:
+        RngStream(int(seed))  # the stream's own check rejects a negative seed
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid seed {seed!r}: {exc}") from exc
     out_dir = Path(args.out) if args.out is not None else Path(cfg.get("out_dir", "out"))
     threads = args.threads if args.threads is not None else cfg.get("threads", os.cpu_count() or 1)
     if int(threads) < 1:

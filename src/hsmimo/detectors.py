@@ -15,6 +15,9 @@ Implemented detectors:
 
 All iterative detectors start from the zero state and return soft outputs
 in (-1, 1)^N plus the sign-thresholded hard decision (sign(0) := +1).
+Every detector but the ML oracle also takes a batch of observations as the
+columns of y (M, B) and returns (N, B) outputs, with the matrix products of
+all columns done at once; divergence is then reported per column.
 """
 
 from __future__ import annotations
@@ -193,9 +196,22 @@ class DetectorTrace:
 
 @dataclass
 class DetectionResult:
+    """Detector output for one observation (M,) or a batch of columns (M, B).
+
+    ``soft`` and ``hard`` have shape (N,) or (N, B).  ``diverged`` marks the
+    batch columns whose state went non-finite; their soft and hard outputs
+    are NaN.  It has shape soft.shape[1:] and defaults to no diverged column;
+    a single-vector detector raises DetectorDivergenceError instead.
+    """
+
     soft: np.ndarray
     hard: np.ndarray
     trace: Optional[DetectorTrace] = None
+    diverged: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.diverged is None:
+            self.diverged = np.zeros(np.shape(self.soft)[1:], dtype=bool)
 
 
 def hard_decision(soft: np.ndarray) -> np.ndarray:
@@ -203,14 +219,19 @@ def hard_decision(soft: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(soft) >= 0, 1.0, -1.0)
 
 
-def _check_system(H: np.ndarray, y: np.ndarray) -> tuple:
+def _check_system(H: np.ndarray, y: np.ndarray, batch: bool = True) -> tuple:
+    """Validated float (H, y, M, N); ``y`` is (M,) or, if ``batch``, (M, B)."""
     H = np.asarray(H, dtype=float)
     y = np.asarray(y, dtype=float)
     if H.ndim != 2:
         raise ValueError(f"channel must be a matrix, got ndim={H.ndim}")
     M, N = H.shape
-    if y.shape != (M,):
+    if y.ndim not in ((1, 2) if batch else (1,)) or y.shape[0] != M:
         raise ValueError(f"observation shape {y.shape} does not match channel rows {M}")
+    if not np.isfinite(H).all():
+        raise ValueError("channel H has non-finite entries")
+    if not np.isfinite(y).all():
+        raise ValueError("observation y has non-finite entries")
     return H, y, M, N
 
 
@@ -250,7 +271,7 @@ def ths_step(u, s, H, y, beta_t: float, eta_t: float, zeta_t: float):
     u_next = zeta_t * u + eta_t * H^T (y - H s)
     s_next = tanh(beta_t * u_next)
     """
-    H, y, M, N = _check_system(H, y)
+    H, y, M, N = _check_system(H, y, batch=False)
     u = np.asarray(u, dtype=float)
     s = np.asarray(s, dtype=float)
     if u.shape != (N,) or s.shape != (N,):
@@ -260,22 +281,57 @@ def ths_step(u, s, H, y, beta_t: float, eta_t: float, zeta_t: float):
     return u_next, s_next
 
 
-def ths_detect(H, y, params: ThsParams, trace: bool = False) -> DetectionResult:
-    """Run the trainable HS detector for params.T iterations from the zero state."""
-    H, y, M, N = _check_system(H, y)
-    u = np.zeros(N)
-    s = np.zeros(N)
-    rec = _TraceRecorder(H, y, params.T, N) if trace else None
+def _unroll(H, y, T: int, update, squash, trace: bool, name: str) -> DetectionResult:
+    """Shared loop of the iterative detectors, from the zero state:
+    p_{t+1} = update(t, p_t, s_t), s_{t+1} = squash(t, p_{t+1}).  Soft
+    output is the last s; the trace's u-slots hold the p_t.
+
+    ``y`` is one observation (M,) or a batch of columns (M, B).  A
+    non-finite p raises DetectorDivergenceError for a single vector; in a
+    batch it marks the offending columns diverged and restarts them from
+    zero, so that later iterations stay finite.  Columns never mix, so the
+    other columns are unaffected.
+    """
+    if trace and y.ndim != 1:
+        raise ValueError("trace=True needs a single observation vector, not a batch")
+    N = H.shape[1]
+    p = np.zeros((N,) + y.shape[1:])
+    s = np.zeros_like(p)
+    diverged = np.zeros(y.shape[1:], dtype=bool)
+    rec = _TraceRecorder(H, y, T, N) if trace else None
     with np.errstate(over="ignore", invalid="ignore"):  # guarded explicitly below
-        for t in range(params.T):
-            u = params.zeta[t] * u + params.eta[t] * (H.T @ (y - H @ s))
-            if not np.all(np.isfinite(u)):
-                raise DetectorDivergenceError("ths", t)
-            s = np.tanh(params.beta[t] * u)
+        for t in range(T):
+            p = update(t, p, s)
+            if not np.isfinite(p).all():
+                if y.ndim == 1:
+                    raise DetectorDivergenceError(name, t)
+                bad = ~np.isfinite(p).all(axis=0)
+                diverged |= bad
+                p[:, bad] = 0.0
+            s = squash(t, p)
             if rec is not None:
-                rec.record(t + 1, u, s)
-    return DetectionResult(soft=s, hard=hard_decision(s),
+                rec.record(t + 1, p, s)
+    hard = hard_decision(s)
+    if diverged.any():
+        s[:, diverged] = hard[:, diverged] = np.nan
+    return DetectionResult(soft=s, hard=hard, diverged=diverged,
                            trace=rec.build() if rec is not None else None)
+
+
+def _ths_unroll(H, y, params: ThsParams, trace: bool, name: str) -> DetectionResult:
+    beta, eta, zeta = params.beta, params.eta, params.zeta
+    return _unroll(H, y, params.T,
+                   lambda t, u, s: zeta[t] * u + eta[t] * (H.T @ (y - H @ s)),
+                   lambda t, u: np.tanh(beta[t] * u), trace, name)
+
+
+def ths_detect(H, y, params: ThsParams, trace: bool = False) -> DetectionResult:
+    """Run the trainable HS detector for params.T iterations from the zero state.
+
+    ``y`` is one observation (M,) or a batch of columns (M, B) (see _unroll).
+    """
+    H, y, M, N = _check_system(H, y)
+    return _ths_unroll(H, y, params, trace, "ths")
 
 
 def hs_detect(H, y, params: HsParams, trace: bool = False) -> DetectionResult:
@@ -283,22 +339,12 @@ def hs_detect(H, y, params: HsParams, trace: bool = False) -> DetectionResult:
 
     u_{t+1} = (1 + eta/lambda) u_t + eta H^T (y - H s_t)
     s_{t+1} = tanh(beta * u_{t+1})
+
+    This is THS with the constants of ``params.as_ths()``, evaluated with
+    the same arithmetic, so the two agree exactly.
     """
     H, y, M, N = _check_system(H, y)
-    momentum = 1.0 + params.eta / params.lam
-    u = np.zeros(N)
-    s = np.zeros(N)
-    rec = _TraceRecorder(H, y, params.T, N) if trace else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(params.T):
-            u = momentum * u + params.eta * (H.T @ (y - H @ s))
-            if not np.all(np.isfinite(u)):
-                raise DetectorDivergenceError("hs", t)
-            s = np.tanh(params.beta * u)
-            if rec is not None:
-                rec.record(t + 1, u, s)
-    return DetectionResult(soft=s, hard=hard_decision(s),
-                           trace=rec.build() if rec is not None else None)
+    return _ths_unroll(H, y, params.as_ths(), trace, "hs")
 
 
 def _tpg_iterate(H, y, W, params: TpgParams, trace: bool, name: str) -> DetectionResult:
@@ -307,19 +353,10 @@ def _tpg_iterate(H, y, W, params: TpgParams, trace: bool, name: str) -> Detectio
 
     The trace's u-slots hold the pre-projection search points r_t.
     """
-    M, N = H.shape
-    s = np.zeros(N)
-    rec = _TraceRecorder(H, y, params.T, N) if trace else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(params.T):
-            r = s + params.gamma[t] * (W @ (y - H @ s))
-            if not np.all(np.isfinite(r)):
-                raise DetectorDivergenceError(name, t)
-            s = np.tanh(r / abs(params.theta[t]))
-            if rec is not None:
-                rec.record(t + 1, r, s)
-    return DetectionResult(soft=s, hard=hard_decision(s),
-                           trace=rec.build() if rec is not None else None)
+    gamma, theta = params.gamma, params.theta
+    return _unroll(H, y, params.T,
+                   lambda t, r, s: s + gamma[t] * (W @ (y - H @ s)),
+                   lambda t, r: np.tanh(r / abs(theta[t])), trace, name)
 
 
 def scalable_tpg_detect(H, y, params: TpgParams, trace: bool = False) -> DetectionResult:
@@ -342,7 +379,8 @@ def lmmse_like_matrix(H: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def tpg_detect(H, y, sigma2: float, params: TpgParams, trace: bool = False) -> DetectionResult:
-    """Projected-gradient detector with the LMMSE-like matrix, computed once.
+    """Projected-gradient detector with the LMMSE-like matrix, computed once
+    per call (so once for a whole batch of columns).
 
     ``sigma2`` is accepted for a uniform detector signature; the descent
     matrix is regularized by ``params.alpha``, not by the noise level.
@@ -357,6 +395,7 @@ def tpg_detect(H, y, sigma2: float, params: TpgParams, trace: bool = False) -> D
 def mmse_detect(H, y, sigma2: float) -> DetectionResult:
     """Linear MMSE baseline: soft = H^T (H H^T + (sigma2/2) I)^{-1} y.
 
+    ``y`` is (M,) or a batch of columns (M, B), solved with one factorization.
     sigma2/2 is the per-real-component noise variance; symbols have unit
     energy per real dimension.
     """
@@ -391,9 +430,9 @@ def brute_force_ml_detect(H, y) -> DetectionResult:
     0.5 ||y - Hx||^2.
 
     Ties break toward the lexicographically smallest vector (+1 before -1).
-    Guarded to N <= MAX_EXHAUSTIVE_BITS.
+    Guarded to N <= MAX_EXHAUSTIVE_BITS.  Takes a single observation (M,).
     """
-    H, y, M, N = _check_system(H, y)
+    H, y, M, N = _check_system(H, y, batch=False)
     if N > MAX_EXHAUSTIVE_BITS:
         raise InstanceTooLargeError(
             f"enumeration over 2^{N} hypotheses refused (limit N <= {MAX_EXHAUSTIVE_BITS})")

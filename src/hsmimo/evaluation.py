@@ -3,7 +3,11 @@
 BER runs draw independent (channel, signal, noise) triples from dedicated
 substreams, so results are bit-reproducible for a fixed (seed, stream) and
 independent of the worker-thread count.  When several detectors are
-evaluated together they see identical samples (paired comparison).
+evaluated together they see identical samples (paired comparison).  The
+vectors of one Monte Carlo chunk that share a channel (``channel_block``)
+are detected together as the columns of one batch: the channel is drawn
+once and each detector runs once per batch, while every vector still
+draws its signal and noise from its own substream.
 
 Also houses two numerical self-checks of the math the HS detector rests
 on: the Gaussian-integral identity exp(-a x^2 / 2) =
@@ -14,6 +18,7 @@ exhaustive enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -63,7 +68,11 @@ class ValidationError(Exception):
 class Detector:
     """A named, runnable detector for Monte Carlo evaluation.
 
-    ``run(H, y, sigma2, trace=False)`` must return a DetectionResult.
+    ``run(H, y, sigma2, trace=False)`` must return a DetectionResult.  In
+    BER estimation ``y`` is a batch of observations (M, B), one vector per
+    column, all sent through the channel ``H``; ``hard`` is then (N, B) and
+    ``diverged`` is a per-column (B,) mask.  Diagnostics call it with one
+    observation (M,) and ``trace=True``.
     """
 
     name: str
@@ -110,7 +119,11 @@ def make_ml_detector(name: str = "ml") -> Detector:
     def run(H, y, sigma2, trace=False):
         if trace:
             raise ValueError("ml detector does not support tracing")
-        return brute_force_ml_detect(H, y)
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1:
+            return brute_force_ml_detect(H, y)
+        hard = np.stack([brute_force_ml_detect(H, col).hard for col in y.T], axis=1)
+        return DetectionResult(soft=hard, hard=hard.copy())
     return Detector(name=name, run=run, traceable=False)
 
 
@@ -181,6 +194,16 @@ def _draw_vector_sample(dims, noise, rng, i, channel_block):
     return transmit(H, x, noise, rng.child(_NOISE, i))
 
 
+def _draw_batch_sample(dims, noise, rng, batch, channel_block):
+    """(H, X, Y) of the vectors ``batch``, which share channel block
+    batch[0] // channel_block: H drawn once, column j of X (N, B) and
+    Y (M, B) equal to x and y of _draw_vector_sample for vector batch[j]."""
+    H = realify_channel(sample_channel(dims, rng.child(_CHAN, batch[0] // channel_block)))
+    samples = [transmit(H, sample_signal(dims, rng.child(_SIG, i)), noise, rng.child(_NOISE, i))
+               for i in batch]
+    return H, np.stack([s.x for s in samples], axis=1), np.stack([s.y for s in samples], axis=1)
+
+
 def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db: float,
                         num_vectors: int, rng: RngStream, channel_block: int = 1,
                         threads: int = 1) -> dict:
@@ -188,8 +211,11 @@ def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db:
 
     Draws ``num_vectors`` independent (channel, x, noise) triples -- a
     fresh channel every ``channel_block`` vectors -- and counts
-    hard-decision bit errors.  A diverging detector scores the whole
-    vector as erroneous and is tallied in ``diverged_vectors``.
+    hard-decision bit errors.  The vectors of a chunk that share a channel
+    go to each detector as one batch of columns.  A vector whose detector
+    state diverges (its column in the ``diverged`` mask, or every column of
+    a batch on which the detector raised DetectorDivergenceError) scores
+    all its N bits as errors and is tallied in ``diverged_vectors``.
     """
     if num_vectors < 1:
         raise ValueError("num_vectors must be >= 1")
@@ -200,15 +226,19 @@ def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db:
     def worker(chunk):
         errors = [0] * len(detectors)
         diverged = [0] * len(detectors)
-        for i in chunk:
-            sample = _draw_vector_sample(dims, noise, rng, i, channel_block)
+        for _, batch in itertools.groupby(chunk, key=lambda i: i // channel_block):
+            H, X, Y = _draw_batch_sample(dims, noise, rng, list(batch), channel_block)
             for k, det in enumerate(detectors):
                 try:
-                    result = det.run(sample.channel, sample.y, noise.sigma2)
-                    errors[k] += int(np.sum(result.hard != sample.x))
+                    result = det.run(H, Y, noise.sigma2)
+                    wrong = np.count_nonzero(result.hard != X, axis=0)
+                    bad = result.diverged
                 except DetectorDivergenceError:
-                    errors[k] += dims.N
-                    diverged[k] += 1
+                    wrong = np.zeros(X.shape[1], dtype=int)
+                    bad = np.ones(X.shape[1], dtype=bool)
+                wrong[bad] = dims.N
+                errors[k] += int(wrong.sum())
+                diverged[k] += int(np.count_nonzero(bad))
         return errors, diverged
 
     partials = _run_chunks(worker, _mc_chunks(num_vectors), threads)

@@ -61,6 +61,12 @@ class RngStream:
     stream_id: int = 0
     lineage: tuple = field(default=())
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.stream_id < 0:
+            raise ValueError(f"stream_id must be non-negative, got {self.stream_id}")
+
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, *self.lineage))

@@ -54,6 +54,11 @@ class TestTrain:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfg = toy_train_config(tmp_path)
+        assert main(["train", "--config", cfg, "--seed", "-3"]) == EXIT_CONFIG
+        assert "seed must be non-negative, got -3" in capsys.readouterr().err
+
     def test_seed_mandatory(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"dims": {"n": 2, "m": 2},
                                                  "train": {"T": 1}})

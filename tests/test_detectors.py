@@ -36,6 +36,99 @@ def random_system(seed, n=3, m=2, noise=0.0):
     return H, x, H @ x + w
 
 
+def random_batch(seed, n=4, m=3, B=6, noise=0.3):
+    """One channel and B signal/observation columns X (N, B), Y (M, B)."""
+    dims = SystemDims(n, m)
+    stream = RngStream(seed)
+    H = realify_channel(sample_channel(dims, stream.child(0)))
+    X = 1.0 - 2.0 * stream.child(1).generator().integers(0, 2, size=(dims.N, B)).astype(float)
+    return H, X, H @ X + noise * stream.child(2).generator().standard_normal((dims.M, B))
+
+
+def batch_detectors(step=None):
+    """Each batch-capable detector as detect(H, y); ``step`` overrides every
+    step size (eta / gamma) of the iterative ones."""
+    eta = 0.05 if step is None else step
+    gamma = 0.3 if step is None else step
+    return {
+        "ths": lambda H, y: ths_detect(H, y, ThsParams.initial(12, eta=eta, zeta=1.05)),
+        "hs": lambda H, y: hs_detect(H, y, HsParams(T=12, eta=eta)),
+        "scalable_tpg": lambda H, y: scalable_tpg_detect(H, y, TpgParams.initial(12, gamma=eta)),
+        "tpg": lambda H, y: tpg_detect(H, y, 0.1, TpgParams.initial(12, gamma=gamma,
+                                                                    variant="lmmse", alpha=1.0)),
+        "mmse": lambda H, y: mmse_detect(H, y, 0.2),
+    }
+
+
+ITERATIVE = ["ths", "hs", "scalable_tpg", "tpg"]
+
+
+class TestBatchedColumns:
+    @pytest.mark.parametrize("name", sorted(batch_detectors()))
+    def test_column_equals_single_vector_call(self, name):
+        detect = batch_detectors()[name]
+        H, X, Y = random_batch(20)
+        batch = detect(H, Y)
+        assert batch.soft.shape == batch.hard.shape == X.shape
+        np.testing.assert_array_equal(batch.diverged, np.zeros(Y.shape[1], dtype=bool))
+        for j in range(Y.shape[1]):
+            single = detect(H, Y[:, j])
+            np.testing.assert_allclose(batch.soft[:, j], single.soft, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(batch.hard[:, j], single.hard)
+
+    @pytest.mark.parametrize("name", ITERATIVE)
+    def test_diverging_column_is_masked_alone(self, name):
+        # a huge step overflows only on the column with a huge observation
+        detect = batch_detectors(step=1e10)[name]
+        H, X, Y = random_batch(21)
+        Y[:, 2] = 1e300
+        with pytest.raises(DetectorDivergenceError):
+            detect(H, Y[:, 2])
+        batch = detect(H, Y)
+        np.testing.assert_array_equal(batch.diverged, np.arange(Y.shape[1]) == 2)
+        assert np.all(np.isnan(batch.soft[:, 2])) and np.all(np.isnan(batch.hard[:, 2]))
+        for j in (0, 1, 3, 4, 5):
+            single = detect(H, Y[:, j])
+            np.testing.assert_allclose(batch.soft[:, j], single.soft, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(batch.hard[:, j], single.hard)
+
+    @pytest.mark.parametrize("detect", [
+        lambda H, y, trace: ths_detect(H, y, ThsParams.initial(3), trace=trace),
+        lambda H, y, trace: hs_detect(H, y, HsParams(T=3), trace=trace),
+        lambda H, y, trace: scalable_tpg_detect(H, y, TpgParams.initial(3), trace=trace),
+        lambda H, y, trace: tpg_detect(H, y, 0.1, TpgParams.initial(3, variant="lmmse"),
+                                       trace=trace),
+    ], ids=ITERATIVE)
+    def test_trace_needs_a_single_vector(self, detect):
+        H, X, Y = random_batch(22)
+        assert detect(H, Y[:, 0], trace=True).trace is not None
+        with pytest.raises(ValueError, match="single observation"):
+            detect(H, Y, trace=True)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("name", sorted(batch_detectors()))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected_naming_the_argument(self, name, bad):
+        detect = batch_detectors()[name]
+        H, x, y = random_system(23, noise=0.1)
+        y_bad = y.copy()
+        y_bad[1] = bad
+        with pytest.raises(ValueError, match="observation y has non-finite"):
+            detect(H, y_bad)
+        H_bad = H.copy()
+        H_bad[0, 1] = bad
+        with pytest.raises(ValueError, match="channel H has non-finite"):
+            detect(H_bad, y)
+
+    def test_rejected_in_a_batch(self):
+        H, X, Y = random_batch(24)
+        Y[3, 4] = np.nan
+        for detect in batch_detectors().values():
+            with pytest.raises(ValueError, match="observation y"):
+                detect(H, Y)
+
+
 class TestHardDecision:
     def test_definition(self):
         np.testing.assert_array_equal(hard_decision([0.3, -0.7]), [1.0, -1.0])

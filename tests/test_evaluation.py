@@ -13,6 +13,8 @@ from hsmimo.detectors import (
     InstanceTooLargeError,
     ThsParams,
     TpgParams,
+    brute_force_ml_detect,
+    ths_detect,
 )
 from hsmimo.evaluation import (
     BerCurve,
@@ -20,14 +22,19 @@ from hsmimo.evaluation import (
     Detector,
     QuadratureConfig,
     ValidationError,
+    _draw_batch_sample,
+    _draw_vector_sample,
     bit_flip_ratio,
     brute_force_expectation,
     estimate_ber,
     estimate_ber_paired,
     gradient_amplitude,
     make_hs_detector,
+    make_ml_detector,
     make_mmse_detector,
+    make_scalable_tpg_detector,
     make_ths_detector,
+    make_tpg_detector,
     read_report,
     run_diagnostics,
     sweep_ber,
@@ -35,7 +42,8 @@ from hsmimo.evaluation import (
     verify_hs_identity,
     write_report,
 )
-from hsmimo.system_model import RngStream, SystemDims, realify_channel, sample_channel
+from hsmimo.system_model import (NoiseModel, RngStream, SystemDims, realify_channel,
+                                 sample_channel)
 
 
 def perfect_detector(name="perfect"):
@@ -53,6 +61,99 @@ def negated_detector(name="adversary"):
         return DetectionResult(soft=-res.soft, hard=-res.hard)
 
     return Detector(name=name, run=run, traceable=False)
+
+
+def five_detectors():
+    return [
+        make_ths_detector(ThsParams.initial(15, eta=0.05, zeta=1.05)),
+        make_hs_detector(HsParams(T=15, eta=0.05)),
+        make_scalable_tpg_detector(TpgParams.initial(15, gamma=0.05)),
+        make_tpg_detector(TpgParams.initial(15, gamma=0.3, variant="lmmse", alpha=1.0)),
+        make_mmse_detector(),
+    ]
+
+
+def per_vector_counts(detectors, dims, snr_db, vectors, rng, channel_block):
+    """Reference loop: {name: (bit errors, diverged vectors)} over ``vectors``
+    from single-vector detector calls, one freshly drawn sample at a time."""
+    noise = NoiseModel.from_snr(snr_db, dims.n)
+    counts = {det.name: [0, 0] for det in detectors}
+    for i in vectors:
+        sample = _draw_vector_sample(dims, noise, rng, i, channel_block)
+        for det in detectors:
+            try:
+                res = det.run(sample.channel, sample.y, noise.sigma2)
+                counts[det.name][0] += int(np.count_nonzero(res.hard != sample.x))
+            except DetectorDivergenceError:
+                counts[det.name][0] += dims.N
+                counts[det.name][1] += 1
+    return {name: tuple(c) for name, c in counts.items()}
+
+
+class TestBatchedEstimate:
+    @pytest.mark.parametrize("channel_block", [1, 7, 100])
+    def test_counts_equal_per_vector_loop(self, channel_block):
+        # 200 vectors are chunks of 64: block 100 crosses a chunk boundary
+        dims = SystemDims(6, 4)
+        rng = RngStream(30)
+        points = estimate_ber_paired(five_detectors(), dims, 8.0, 200, rng,
+                                     channel_block=channel_block)
+        reference = per_vector_counts(five_detectors(), dims, 8.0, range(200), rng,
+                                      channel_block)
+        assert {name: (p.bit_errors, p.diverged_vectors) for name, p in points.items()} \
+            == reference
+        assert all(errors > 0 for errors, _ in reference.values())
+
+    def test_batch_columns_are_the_vector_samples(self):
+        dims = SystemDims(3, 2)
+        noise = NoiseModel.from_snr(10.0, dims.n)
+        rng = RngStream(31)
+        H, X, Y = _draw_batch_sample(dims, noise, rng, [7, 8, 9], channel_block=5)
+        for j, i in enumerate([7, 8, 9]):
+            sample = _draw_vector_sample(dims, noise, rng, i, 5)
+            np.testing.assert_array_equal(H, sample.channel)
+            np.testing.assert_array_equal(X[:, j], sample.x)
+            np.testing.assert_array_equal(Y[:, j], sample.y)
+
+    def test_thread_count_does_not_change_blocked_counts(self):
+        dims = SystemDims(6, 4)
+        a = estimate_ber_paired(five_detectors(), dims, 8.0, 300, RngStream(32),
+                                channel_block=100, threads=1)
+        b = estimate_ber_paired(five_detectors(), dims, 8.0, 300, RngStream(32),
+                                channel_block=100, threads=4)
+        assert a == b
+
+    def test_one_diverging_column_counts_one_vector(self):
+        # a huge step overflows only on the column whose observation is huge:
+        # the first vector of the single 40-vector batch
+        dims = SystemDims(3, 2)
+        params = ThsParams.initial(5, eta=1e10)
+
+        def run(H, y, sigma2, trace=False):
+            y = np.array(y)
+            y[:, 0] = 1e300
+            return ths_detect(H, y, params)
+
+        rng = RngStream(33)
+        point = estimate_ber(Detector(name="first_blows_up", run=run), dims, 10.0, 40, rng,
+                             channel_block=40)
+        rest = per_vector_counts([make_ths_detector(params)], dims, 10.0, range(1, 40), rng, 40)
+        assert point.diverged_vectors == 1
+        assert rest["ths"][1] == 0
+        assert point.bit_errors == dims.N + rest["ths"][0]
+
+    def test_ml_detector_scores_a_batch(self):
+        dims = SystemDims(2, 2)
+        noise = NoiseModel.from_snr(5.0, dims.n)
+        H, X, Y = _draw_batch_sample(dims, noise, RngStream(34), list(range(6)), 6)
+        res = make_ml_detector().run(H, Y, noise.sigma2)
+        assert res.hard.shape == X.shape
+        assert not res.diverged.any()
+        for j in range(6):
+            np.testing.assert_array_equal(res.hard[:, j], brute_force_ml_detect(H, Y[:, j]).hard)
+        point = estimate_ber(make_ml_detector(), dims, 5.0, 60, RngStream(34), channel_block=6)
+        reference = per_vector_counts([make_ml_detector()], dims, 5.0, range(60), RngStream(34), 6)
+        assert (point.bit_errors, point.diverged_vectors) == reference["ml"]
 
 
 class TestEstimateBer:

@@ -48,6 +48,12 @@ class TestRngStream:
         assert not np.array_equal(root.child(2, 5).generator().standard_normal(8),
                                   root.child(2, 6).generator().standard_normal(8))
 
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            RngStream(-1)
+        with pytest.raises(ValueError, match="stream_id must be non-negative, got -2"):
+            RngStream(5, -2)
+
 
 class TestSampleChannel:
     def test_shapes_and_finiteness(self):
