@@ -296,7 +296,7 @@ def cmd_train(cfg: dict, common: dict) -> int:
     except TrainingDivergedError as exc:
         diag_path = out_dir / "training_divergence.json"
         diag = {"generation": exc.generation, "batch_index": exc.batch_index,
-                "last_stable_params": exc.last_params.to_dict()}
+                "reason": exc.reason, "last_stable_params": exc.last_params.to_dict()}
         diag_path.write_text(json.dumps(diag, sort_keys=True, indent=1) + "\n")
         print(f"training diverged; diagnostics written to {diag_path}", file=sys.stderr)
         return EXIT_DIVERGED

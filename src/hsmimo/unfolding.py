@@ -7,6 +7,16 @@ Training uses supervised (x, y) mini-batches with a fresh channel per
 mini-batch, the MSE loss N^{-1} ||s_out - x||^2 averaged over the batch,
 a from-scratch Adam optimizer, and incremental (generation-wise) deepening
 of the trained prefix.
+
+Because every column of a mini-batch shares one channel, the unrolled
+passes run in Gram form: the residual step A (y - H s) of each layer is
+rewritten as c - P s with P = A H (N x N) and c = A y formed once per
+mini-batch (A = H^T for THS and scalable TPG, the LMMSE-like matrix W for
+TPG).  A layer then costs one N x N x B product, N^2 multiply-adds per
+column, against 2MN for the two products with H and A.  This is cheaper
+whenever N < 2M, i.e. n < 2m, which holds at every size the paper uses:
+(n, m) = (50, 32), (100, 64) and (150, 96).  The per-layer residuals are
+not stored; the backward pass recovers their inner products from c.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ class TrainingDivergedError(Exception):
         self.generation = generation
         self.batch_index = batch_index
         self.last_params = last_params
+        self.reason = reason
         super().__init__(
             f"training diverged in generation {generation}, batch {batch_index}: {reason}")
 
@@ -167,8 +178,9 @@ class ThsActivations:
 
     u: np.ndarray  # (depth+1, N, B)
     s: np.ndarray  # (depth+1, N, B)
-    g: np.ndarray  # (depth, N, B), g_t = H^T (y - H s_t)
+    c: np.ndarray  # (N, B), H^T y; the layer residual is g_t = c - P s_t
     H: np.ndarray
+    P: np.ndarray  # (N, N) Gram matrix H^T H
     depth: int
 
 
@@ -176,9 +188,10 @@ class ThsActivations:
 class TpgActivations:
     s: np.ndarray  # (depth+1, N, B)
     r: np.ndarray  # (depth, N, B), pre-projection search points
-    q: np.ndarray  # (depth, N, B), q_t = W (y - H s_t)
+    c: np.ndarray  # (N, B), W y; the layer residual is q_t = c - P s_t
     H: np.ndarray
     W: np.ndarray
+    P: np.ndarray  # (N, N) product W H
     depth: int
 
 
@@ -193,6 +206,14 @@ def forward_unrolled(H, y, x, params: Params, depth_used: int):
     ``y`` is (M, B), ``x`` is (N, B) with one sample per column.  Returns
     the MSE loss (normalized by N and batch size) and the retained
     activations for the backward pass.
+
+    Gram form: with A = H^T (THS, scalable TPG) or A = W (LMMSE TPG), the
+    layer residual A (y - H s_t) is computed as c - P s_t from P = A H and
+    c = A y, formed once per call.  Each layer is then one N x N x B
+    product instead of two M x N x B products, cheaper when n < 2m.
+    Every elementwise step writes into the preallocated activation rows.
+    The residuals themselves are not kept: the backward pass recovers
+    their inner products from c, s_t and the P^T products it forms anyway.
     """
     if not (1 <= depth_used <= params.T):
         raise ValueError(f"depth_used must be in [1, {params.T}], got {depth_used}")
@@ -205,31 +226,50 @@ def forward_unrolled(H, y, x, params: Params, depth_used: int):
         raise ValueError("batch shapes do not match the channel")
 
     if isinstance(params, ThsParams):
-        u = np.zeros((depth_used + 1, N, B))
-        s = np.zeros((depth_used + 1, N, B))
-        g = np.zeros((depth_used, N, B))
+        P = H.T @ H
+        c = H.T @ y
+        u = np.empty((depth_used + 1, N, B))
+        s = np.empty((depth_used + 1, N, B))
+        u[0] = 0.0
+        s[0] = 0.0
+        g = c.copy()  # residual c - P s_t; equal to c at t = 0 since s_0 = 0
         with np.errstate(over="ignore", invalid="ignore"):  # guarded explicitly below
             for t in range(depth_used):
-                g[t] = H.T @ (y - H @ s[t])
-                u[t + 1] = params.zeta[t] * u[t] + params.eta[t] * g[t]
+                if t > 0:
+                    np.matmul(P, s[t], out=g)
+                    np.subtract(c, g, out=g)
+                np.multiply(u[t], params.zeta[t], out=u[t + 1])
+                np.multiply(g, params.eta[t], out=s[t + 1])  # s[t+1] as scratch
+                np.add(u[t + 1], s[t + 1], out=u[t + 1])
                 if not np.all(np.isfinite(u[t + 1])):
                     raise DetectorDivergenceError("ths", t)
-                s[t + 1] = np.tanh(params.beta[t] * u[t + 1])
-        acts = ThsActivations(u=u, s=s, g=g, H=H, depth=depth_used)
+                np.multiply(u[t + 1], params.beta[t], out=s[t + 1])
+                np.tanh(s[t + 1], out=s[t + 1])
+        acts = ThsActivations(u=u, s=s, c=c, H=H, P=P, depth=depth_used)
         return _mse_loss(s[depth_used], x), acts
 
-    W = H.T if params.variant == "scalable" else lmmse_like_matrix(H, params.alpha)
-    s = np.zeros((depth_used + 1, N, B))
-    r = np.zeros((depth_used, N, B))
-    q = np.zeros((depth_used, N, B))
+    if params.variant == "scalable":
+        W, name = H.T, "scalable_tpg"
+    else:
+        W, name = lmmse_like_matrix(H, params.alpha), "tpg"
+    P = W @ H
+    c = W @ y
+    s = np.empty((depth_used + 1, N, B))
+    r = np.empty((depth_used, N, B))
+    s[0] = 0.0
+    q = c.copy()  # residual c - P s_t; equal to c at t = 0 since s_0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(depth_used):
-            q[t] = W @ (y - H @ s[t])
-            r[t] = s[t] + params.gamma[t] * q[t]
+            if t > 0:
+                np.matmul(P, s[t], out=q)
+                np.subtract(c, q, out=q)
+            np.multiply(q, params.gamma[t], out=r[t])
+            np.add(s[t], r[t], out=r[t])
             if not np.all(np.isfinite(r[t])):
-                raise DetectorDivergenceError(params.variant, t)
-            s[t + 1] = np.tanh(r[t] / abs(params.theta[t]))
-    acts = TpgActivations(s=s, r=r, q=q, H=H, W=W, depth=depth_used)
+                raise DetectorDivergenceError(name, t)
+            np.divide(r[t], abs(params.theta[t]), out=s[t + 1])
+            np.tanh(s[t + 1], out=s[t + 1])
+    acts = TpgActivations(s=s, r=r, c=c, H=H, W=W, P=P, depth=depth_used)
     return _mse_loss(s[depth_used], x), acts
 
 
@@ -237,45 +277,57 @@ def backward_gradients(acts, params: Params, x) -> Union[ThsGradient, TpgGradien
     """Exact reverse-mode gradients of the MSE loss w.r.t. every layer scalar.
 
     Gradient arrays have length params.T; layers beyond the unrolled depth
-    do not influence the loss and get exact zeros.
+    do not influence the loss and get exact zeros.  The adjoint of a layer
+    residual c - P s is -P^T, so each layer costs one N x N x B product.
+    The activations are read, never written.
     """
     x = np.asarray(x, dtype=float)
     N, B = x.shape
     d = acts.depth
-    H = acts.H
+    PT = acts.P.T
+    ds = 2.0 * (acts.s[d] - x) / (N * B)
+    w = np.empty_like(ds)
 
     if isinstance(acts, ThsActivations):
         d_beta = np.zeros(params.T)
         d_eta = np.zeros(params.T)
         d_zeta = np.zeros(params.T)
-        ds = 2.0 * (acts.s[d] - x) / (N * B)
-        du_carry = np.zeros_like(ds)
+        du = np.zeros_like(ds)  # carries zeta_t du_{t+1} into layer t
         for t in range(d, 0, -1):
             # s_t = tanh(beta_{t-1} u_t)
-            w = ds * (1.0 - acts.s[t] ** 2)
-            d_beta[t - 1] = np.sum(w * acts.u[t])
-            du = du_carry + params.beta[t - 1] * w
+            np.multiply(acts.s[t], acts.s[t], out=w)
+            np.subtract(1.0, w, out=w)
+            np.multiply(ds, w, out=w)
+            d_beta[t - 1] = np.vdot(w, acts.u[t])
+            np.multiply(w, params.beta[t - 1], out=w)
+            np.add(du, w, out=du)
             # u_t = zeta_{t-1} u_{t-1} + eta_{t-1} g_{t-1}
-            d_zeta[t - 1] = np.sum(du * acts.u[t - 1])
-            d_eta[t - 1] = np.sum(du * acts.g[t - 1])
-            # g_{t-1} = H^T y - H^T H s_{t-1}
-            ds = -params.eta[t - 1] * (H.T @ (H @ du))
-            du_carry = params.zeta[t - 1] * du
+            d_zeta[t - 1] = np.vdot(du, acts.u[t - 1])
+            # g_{t-1} = c - P s_{t-1}: <du, g_{t-1}> = <du, c> - <P^T du, s_{t-1}>
+            d_eta[t - 1] = np.vdot(du, acts.c)
+            if t > 1:  # s_0 = 0 is a constant: no P^T du term, no adjoint needed
+                np.matmul(PT, du, out=ds)
+                d_eta[t - 1] -= np.vdot(ds, acts.s[t - 1])
+                np.multiply(ds, -params.eta[t - 1], out=ds)
+                np.multiply(du, params.zeta[t - 1], out=du)
         return ThsGradient(d_beta=d_beta, d_eta=d_eta, d_zeta=d_zeta)
 
-    W = acts.W
     d_gamma = np.zeros(params.T)
     d_theta = np.zeros(params.T)
-    ds = 2.0 * (acts.s[d] - x) / (N * B)
     for t in range(d - 1, -1, -1):
         # s_{t+1} = tanh(r_t / |theta_t|)
-        a = 1.0 / abs(params.theta[t])
-        w = ds * (1.0 - acts.s[t + 1] ** 2)
-        d_theta[t] = np.sum(w * acts.r[t]) * (-np.sign(params.theta[t]) / params.theta[t] ** 2)
-        dr = a * w
-        # r_t = s_t + gamma_t W (y - H s_t)
-        d_gamma[t] = np.sum(dr * acts.q[t])
-        ds = dr - params.gamma[t] * (H.T @ (W.T @ dr))
+        np.multiply(acts.s[t + 1], acts.s[t + 1], out=w)
+        np.subtract(1.0, w, out=w)
+        np.multiply(ds, w, out=w)
+        d_theta[t] = np.vdot(w, acts.r[t]) * (-np.sign(params.theta[t]) / params.theta[t] ** 2)
+        np.multiply(w, 1.0 / abs(params.theta[t]), out=w)  # w is now dr_t
+        # r_t = s_t + gamma_t q_t, q_t = c - P s_t: <dr, q_t> = <dr, c> - <P^T dr, s_t>
+        d_gamma[t] = np.vdot(w, acts.c)
+        if t > 0:
+            np.matmul(PT, w, out=ds)
+            d_gamma[t] -= np.vdot(ds, acts.s[t])
+            np.multiply(ds, params.gamma[t], out=ds)
+            np.subtract(w, ds, out=ds)
     return TpgGradient(d_gamma=d_gamma, d_theta=d_theta)
 
 

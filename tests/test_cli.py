@@ -70,6 +70,8 @@ class TestTrain:
         assert main(["train", "--config", cfg]) == EXIT_DIVERGED
         diag = json.loads((tmp_path / "out" / "training_divergence.json").read_text())
         assert diag["generation"] == 2
+        assert diag["reason"] == "ths detector diverged: non-finite state at iteration 1"
+        assert set(diag) == {"generation", "batch_index", "reason", "last_stable_params"}
 
 
 class TestEval:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hsmimo.detectors import ThsParams, TpgParams
+from hsmimo.detectors import DetectorDivergenceError, ThsParams, TpgParams
 from hsmimo.system_model import RngStream, SystemDims, realify_channel, sample_channel
 from hsmimo.unfolding import (
     AdamState,
@@ -39,6 +39,16 @@ def random_batch(seed, n=3, m=2, B=4, noise=0.2):
 def random_ths_params(gen, T):
     return ThsParams(beta=gen.uniform(0.5, 2.0, T), eta=gen.uniform(0.02, 0.3, T),
                      zeta=gen.uniform(0.9, 1.1, T))
+
+
+def random_tpg_params(gen, T, variant):
+    return TpgParams(gamma=gen.uniform(0.02, 0.3, T),
+                     theta=gen.uniform(0.4, 2.0, T) * gen.choice([-1.0, 1.0], T),
+                     variant=variant, alpha=1.5)
+
+
+def random_params(gen, T, model):
+    return random_ths_params(gen, T) if model == "ths" else random_tpg_params(gen, T, model)
 
 
 class TestForwardUnrolled:
@@ -84,6 +94,74 @@ class TestForwardUnrolled:
         with pytest.raises(ValueError):
             forward_unrolled(H, y, x, params, depth_used=4)
 
+    @pytest.mark.parametrize("variant", ["scalable", "lmmse"])
+    def test_tpg_matches_straight_line_reimplementation(self, variant):
+        # per-sample residual-form recursion r = s + gamma W (y - H s), W built here
+        gen = np.random.default_rng(3)
+        H, x, y = random_batch(5, n=4, m=3, B=5)
+        T = 6
+        params = random_tpg_params(gen, T, variant)
+        loss, _ = forward_unrolled(H, y, x, params, depth_used=T)
+        M, N = H.shape
+        if variant == "scalable":
+            W = H.T
+        else:
+            W = H.T @ np.linalg.inv(H @ H.T + params.alpha * np.eye(M))
+        total = 0.0
+        for b in range(x.shape[1]):
+            s = np.zeros(N)
+            for t in range(T):
+                r = s + params.gamma[t] * (W @ (y[:, b] - H @ s))
+                s = np.tanh(r / abs(params.theta[t]))
+            total += np.sum((s - x[:, b]) ** 2) / N
+        assert loss == pytest.approx(total / x.shape[1], abs=1e-12)
+
+    @pytest.mark.parametrize("model", ["ths", "scalable", "lmmse"])
+    def test_activations_survive_later_calls(self, model):
+        # each call owns its buffers: backward and a second forward leave the
+        # first call's activations bit-for-bit unchanged
+        gen = np.random.default_rng(4)
+        params = random_params(gen, 4, model)
+        H, x, y = random_batch(6, n=4, m=3, B=5)
+        _, acts = forward_unrolled(H, y, x, params, depth_used=4)
+        saved = {k: v.copy() for k, v in vars(acts).items() if isinstance(v, np.ndarray)}
+        backward_gradients(acts, params, x)
+        H2, x2, y2 = random_batch(7, n=4, m=3, B=5)
+        _, acts2 = forward_unrolled(H2, y2, x2, params, depth_used=4)
+        backward_gradients(acts2, params, x2)
+        for name, before in saved.items():
+            np.testing.assert_array_equal(getattr(acts, name), before, err_msg=name)
+
+    def test_huge_eta_diverges_at_residual_form_layer(self):
+        H, x, y = random_batch(9, n=4, m=3, B=8)
+        T = 6
+        params = ThsParams(beta=np.ones(T), eta=[0.1, 0.1, 1e307, 1e307, 1e307, 1e307],
+                           zeta=np.ones(T))
+        expected = None
+        u = np.zeros_like(x)
+        s = np.zeros_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(T):
+                u = params.zeta[t] * u + params.eta[t] * (H.T @ (y - H @ s))
+                if not np.all(np.isfinite(u)):
+                    expected = t
+                    break
+                s = np.tanh(params.beta[t] * u)
+        assert expected is not None and expected >= 2
+        with pytest.raises(DetectorDivergenceError) as err:
+            forward_unrolled(H, y, x, params, depth_used=T)
+        assert err.value.iteration == expected
+
+    @pytest.mark.parametrize("variant,name", [("scalable", "scalable_tpg"), ("lmmse", "tpg")])
+    def test_tpg_divergence_uses_detector_name(self, variant, name):
+        H, x, y = random_batch(10)
+        params = TpgParams(gamma=[0.1, np.inf], theta=[1.0, 1.0], variant=variant)
+        with pytest.raises(DetectorDivergenceError) as err:
+            forward_unrolled(H, y, x, params, depth_used=2)
+        assert err.value.detector == name
+        assert err.value.iteration == 1
+        assert str(err.value).startswith(f"{name} detector diverged")
+
 
 class TestBackwardGradients:
     @pytest.mark.parametrize("model", ["ths", "scalable", "lmmse"])
@@ -92,13 +170,7 @@ class TestBackwardGradients:
         for seed in range(6):
             T = int(gen.integers(2, 6))
             H, x, y = random_batch(seed, n=int(gen.integers(2, 5)), m=2, B=3)
-            if model == "ths":
-                params = random_ths_params(gen, T)
-            else:
-                params = TpgParams(gamma=gen.uniform(0.02, 0.3, T),
-                                   theta=gen.uniform(0.4, 2.0, T) * gen.choice([-1.0, 1.0], T),
-                                   variant="scalable" if model == "scalable" else "lmmse",
-                                   alpha=1.5)
+            params = random_params(gen, T, model)
             loss, acts = forward_unrolled(H, y, x, params, depth_used=T)
             bp = _flatten_grads(backward_gradients(acts, params, x))
             fd = _flatten_grads(finite_difference_gradient(
@@ -274,6 +346,7 @@ class TestIncrementalTrain:
             incremental_train(config)
         assert err.value.generation == 2
         assert err.value.last_params is not None
+        assert err.value.reason == "ths detector diverged: non-finite state at iteration 1"
 
 
 class TestPersistence:
