@@ -185,7 +185,8 @@ class DetectorTrace:
     ``u`` and ``s`` hold the T+1 states (row t = state after t iterations,
     row 0 the zero initialization).  ``gradient_amplitude[t]`` is
     G_t = ||H^T (y - H s_t)||_2 / N at state t, and ``bit_flip_ratio[t]``
-    the fraction of sign flips from s_t to s_{t+1}.
+    the fraction of sign flips from s_t to s_{t+1}; both are derived from
+    the recorded states once the run ends.
     """
 
     u: np.ndarray  # (T+1, N)
@@ -235,34 +236,36 @@ def _check_system(H: np.ndarray, y: np.ndarray, batch: bool = True) -> tuple:
     return H, y, M, N
 
 
-def _grad_amplitude(H: np.ndarray, y: np.ndarray, s: np.ndarray) -> float:
-    return float(np.linalg.norm(H.T @ (y - H @ s))) / H.shape[1]
+def gradient_amplitudes(H: np.ndarray, y: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """G = ||H^T (y - H s)||_2 / N for every row s of the state stack S (K, N),
+    as one residual product over all K states."""
+    return np.linalg.norm(H.T @ (y[:, None] - H @ S.T), axis=0) / H.shape[1]
 
 
-def _flip_fraction(s_prev: np.ndarray, s_next: np.ndarray) -> float:
-    return float(np.mean(hard_decision(s_prev) != hard_decision(s_next)))
+def sign_flips(s_prev, s_next) -> np.ndarray:
+    """Elementwise mask of hard-decision changes between two soft states,
+    with the tie rule of hard_decision (0 counts as +1)."""
+    return (np.asarray(s_prev) >= 0) != (np.asarray(s_next) >= 0)
 
 
 class _TraceRecorder:
-    """Collects (u_t, s_t) states and derived diagnostics during detection."""
+    """Keeps the (p_t, s_t) states of a run; the diagnostics are derived
+    from them once, in build()."""
 
     def __init__(self, H, y, T, N):
         self.H, self.y = H, y
         self.u = np.zeros((T + 1, N))
         self.s = np.zeros((T + 1, N))
-        self.G = np.zeros(T + 1)
-        self.flips = np.zeros(T)
-        self.G[0] = _grad_amplitude(H, y, self.s[0])
 
     def record(self, t, u, s):
         self.u[t] = u
         self.s[t] = s
-        self.G[t] = _grad_amplitude(self.H, self.y, s)
-        self.flips[t - 1] = _flip_fraction(self.s[t - 1], s)
 
     def build(self) -> DetectorTrace:
-        return DetectorTrace(u=self.u, s=self.s, gradient_amplitude=self.G,
-                             bit_flip_ratio=self.flips)
+        S = self.s
+        return DetectorTrace(u=self.u, s=S,
+                             gradient_amplitude=gradient_amplitudes(self.H, self.y, S),
+                             bit_flip_ratio=np.mean(sign_flips(S[:-1], S[1:]), axis=1))
 
 
 def ths_step(u, s, H, y, beta_t: float, eta_t: float, zeta_t: float):

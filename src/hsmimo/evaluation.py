@@ -36,11 +36,12 @@ from .detectors import (
     ThsParams,
     TpgParams,
     brute_force_ml_detect,
-    hard_decision,
+    gradient_amplitudes,
     hs_detect,
     hypercube_vertices,
     mmse_detect,
     scalable_tpg_detect,
+    sign_flips,
     ths_detect,
     tpg_detect,
 )
@@ -299,7 +300,7 @@ def gradient_amplitude(H, y, s) -> float:
     M, N = H.shape
     if y.shape != (M,) or s.shape != (N,):
         raise ValueError("shapes do not match the channel")
-    return float(np.linalg.norm(H.T @ (y - H @ s))) / N
+    return float(gradient_amplitudes(H, y, s[None, :])[0])
 
 
 def bit_flip_ratio(s_prev, s_next) -> float:
@@ -308,7 +309,7 @@ def bit_flip_ratio(s_prev, s_next) -> float:
     s_next = np.asarray(s_next)
     if s_prev.shape != s_next.shape:
         raise ValueError(f"shape mismatch: {s_prev.shape} vs {s_next.shape}")
-    return float(np.mean(hard_decision(s_prev) != hard_decision(s_next)))
+    return float(np.mean(sign_flips(s_prev, s_next)))
 
 
 @dataclass

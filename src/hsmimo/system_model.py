@@ -169,14 +169,18 @@ def transmit(channel: np.ndarray, x: np.ndarray, noise: NoiseModel, rng) -> Tran
     """Send x through the real channel: y = Hx + w.
 
     Noise components are i.i.d. zero-mean Gaussian with variance
-    sigma_w^2 / 2 per real component.
+    sigma_w^2 / 2 per real component.  A noiseless transmission from an
+    RngStream draws nothing (the stream is replayable, so skipping it moves
+    no other draw); a raw Generator is advanced by M normals either way,
+    so callers sharing one generator see the same later draws.
     """
     channel = np.asarray(channel)
     x = np.asarray(x, dtype=float)
     M, N = channel.shape
     if x.shape != (N,):
         raise ValueError(f"signal length {x.shape} does not match channel width {N}")
-    gen = _as_generator(rng)
-    w = math.sqrt(noise.per_real_component_variance) * gen.standard_normal(M)
-    y = channel @ x + w
+    y = channel @ x
+    if noise.sigma2 != 0 or not isinstance(rng, RngStream):
+        gen = _as_generator(rng)
+        y += math.sqrt(noise.per_real_component_variance) * gen.standard_normal(M)
     return TransmissionSample(x=x, y=y, channel=channel, noise=noise)

@@ -23,7 +23,7 @@ from hsmimo.detectors import (
     ths_step,
     tpg_detect,
 )
-from hsmimo.evaluation import gradient_amplitude
+from hsmimo.evaluation import bit_flip_ratio, gradient_amplitude
 from hsmimo.system_model import RngStream, SystemDims, realify_channel, sample_channel, sample_signal
 
 
@@ -238,6 +238,48 @@ class TestThsDetect:
         for t in range(6):
             assert tr.gradient_amplitude[t] == pytest.approx(
                 gradient_amplitude(H, y, tr.s[t]), abs=1e-12)
+
+
+TRACEABLE = {
+    "ths": lambda H, y, trace: ths_detect(H, y, ThsParams.initial(12, eta=0.05, zeta=1.05),
+                                          trace=trace),
+    "hs": lambda H, y, trace: hs_detect(H, y, HsParams(T=12, eta=0.05), trace=trace),
+    "scalable_tpg": lambda H, y, trace: scalable_tpg_detect(
+        H, y, TpgParams.initial(12, gamma=0.05), trace=trace),
+    "tpg": lambda H, y, trace: tpg_detect(
+        H, y, 0.1, TpgParams.initial(12, gamma=0.3, theta=0.5, variant="lmmse"), trace=trace),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACEABLE))
+class TestTraceDiagnostics:
+    """A trace's G_t and flip ratios, derived from its states after the run,
+    equal the public per-state diagnostics and a per-state reference."""
+
+    def test_diagnostics_match_per_state_definitions(self, name):
+        flips = 0.0
+        for seed in range(8):
+            H, x, y = random_system(seed, n=6, m=4, noise=0.5)
+            tr = TRACEABLE[name](H, y, trace=True).trace
+            for t, s in enumerate(tr.s):
+                assert tr.gradient_amplitude[t] == pytest.approx(
+                    gradient_amplitude(H, y, s), abs=1e-12)
+                assert tr.gradient_amplitude[t] == pytest.approx(
+                    np.linalg.norm(H.T @ (y - H @ s)) / H.shape[1], abs=1e-12)
+            for t in range(tr.bit_flip_ratio.size):
+                assert tr.bit_flip_ratio[t] == bit_flip_ratio(tr.s[t], tr.s[t + 1])
+                assert tr.bit_flip_ratio[t] == np.mean(
+                    hard_decision(tr.s[t]) != hard_decision(tr.s[t + 1]))
+            flips += tr.bit_flip_ratio[1:].sum()
+        assert flips > 0  # sign changes after the first step did occur
+
+    def test_last_state_is_the_untraced_output(self, name):
+        for seed in range(4):
+            H, x, y = random_system(seed, n=6, m=4, noise=0.5)
+            traced = TRACEABLE[name](H, y, trace=True)
+            plain = TRACEABLE[name](H, y, trace=False)
+            np.testing.assert_array_equal(traced.trace.s[-1], plain.soft)
+            np.testing.assert_array_equal(traced.soft, plain.soft)
 
 
 class TestHsDetect:

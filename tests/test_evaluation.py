@@ -268,6 +268,8 @@ class TestDiagnosticsOps:
         assert bit_flip_ratio(s, s) == 0.0
         assert bit_flip_ratio(s, -s) == 1.0
         assert bit_flip_ratio(s, np.array([-0.1, -0.5, 0.4])) == pytest.approx(1 / 3)
+        # tie rule of hard_decision: 0 counts as +1
+        assert bit_flip_ratio(np.array([0.0, 0.0]), np.array([1e-9, -1e-9])) == 0.5
 
     def test_run_diagnostics_single_signal_equals_trace(self):
         dims = SystemDims(3, 2)

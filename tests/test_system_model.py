@@ -154,6 +154,40 @@ class TestTransmit:
         sample = transmit(H, x, NoiseModel.noiseless(), RngStream(2, 2))
         np.testing.assert_array_equal(sample.y, H @ x)
 
+    def test_noiseless_stream_builds_no_generator(self, monkeypatch):
+        dims = SystemDims(4, 3)
+        H = realify_channel(sample_channel(dims, RngStream(2)))
+        x = sample_signal(dims, RngStream(2, 1))
+
+        def refuse(self):
+            raise AssertionError("noiseless transmit drew from its stream")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        sample = transmit(H, x, NoiseModel.noiseless(), RngStream(2, 2))
+        np.testing.assert_array_equal(sample.y, H @ x)
+
+    def test_noiseless_raw_generator_still_advances(self):
+        # a caller sharing one Generator sees the same later draws as when
+        # the noise was drawn and scaled by zero: M normals are consumed
+        dims = SystemDims(4, 3)
+        H = realify_channel(sample_channel(dims, RngStream(5)))
+        x = sample_signal(dims, RngStream(5, 1))
+        gen = np.random.default_rng(21)
+        sample = transmit(H, x, NoiseModel.noiseless(), gen)
+        twin = np.random.default_rng(21)
+        twin.standard_normal(dims.M)
+        assert gen.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_array_equal(sample.y, H @ x)
+
+    def test_noisy_stream_matches_hand_built_sum(self):
+        dims = SystemDims(4, 3)
+        H = realify_channel(sample_channel(dims, RngStream(6)))
+        x = sample_signal(dims, RngStream(6, 1))
+        noise = NoiseModel.from_snr(7.0, dims.n)
+        stream = RngStream(6, 2).child(9)
+        w = math.sqrt(noise.sigma2 / 2) * stream.generator().standard_normal(dims.M)
+        np.testing.assert_array_equal(transmit(H, x, noise, stream).y, H @ x + w)
+
     def test_identity_channel(self):
         H = np.eye(6)
         x = sample_signal(SystemDims(3, 3), RngStream(4))
