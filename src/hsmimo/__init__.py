@@ -80,6 +80,7 @@ from .unfolding import (
     TrainingConfig,
     TrainingDivergedError,
     TrainingResult,
+    TrainingWorkspace,
     adam_step,
     backward_gradients,
     config_fingerprint,

@@ -284,10 +284,21 @@ def ths_step(u, s, H, y, beta_t: float, eta_t: float, zeta_t: float):
     return u_next, s_next
 
 
-def _unroll(H, y, T: int, update, squash, trace: bool, name: str) -> DetectionResult:
-    """Shared loop of the iterative detectors, from the zero state:
-    p_{t+1} = update(t, p_t, s_t), s_{t+1} = squash(t, p_{t+1}).  Soft
-    output is the last s; the trace's u-slots hold the p_t.
+def _unroll(H, A, y, params, trace: bool, name: str) -> DetectionResult:
+    """Shared in-place loop of the iterative detectors, from the zero state.
+
+    Each layer forms the residual step g = A (y - H s_t), with A = H^T for
+    THS/HS and scalable TPG and A = W for LMMSE TPG, and then updates
+
+    * THS (``params`` a ThsParams): p_{t+1} = zeta_t p_t + eta_t g,
+      s_{t+1} = tanh(beta_t p_{t+1});
+    * TPG (``params`` a TpgParams): p_{t+1} = s_t + gamma_t g,
+      s_{t+1} = tanh(p_{t+1} / |theta_t|).
+
+    Soft output is the last s; the trace's u-slots hold the p_t.  Every
+    step writes into buffers allocated once per call, shaped like y with N
+    rows, so a layer allocates nothing; the buffers span the trailing
+    (N,) or (N, B) axes.
 
     ``y`` is one observation (M,) or a batch of columns (M, B).  A
     non-finite p raises DetectorDivergenceError for a single vector; in a
@@ -297,35 +308,52 @@ def _unroll(H, y, T: int, update, squash, trace: bool, name: str) -> DetectionRe
     """
     if trace and y.ndim != 1:
         raise ValueError("trace=True needs a single observation vector, not a batch")
-    N = H.shape[1]
-    p = np.zeros((N,) + y.shape[1:])
+    ths = isinstance(params, ThsParams)
+    if ths:
+        zeta, eta, beta = params.zeta.tolist(), params.eta.tolist(), params.beta.tolist()
+    else:
+        gamma, theta = params.gamma.tolist(), [abs(v) for v in params.theta.tolist()]
+    T, N = params.T, H.shape[-1]
+    batch = y.ndim > 1
+    # y's shape with N rows in place of M, and one divergence flag per column
+    p = np.zeros(y.shape[:-2] + (N,) + y.shape[-1:] if batch else (N,))
+    diverged = np.zeros(y.shape[:-2] + y.shape[-1:] if batch else (), dtype=bool)
     s = np.zeros_like(p)
-    diverged = np.zeros(y.shape[1:], dtype=bool)
+    g = np.empty_like(p)
+    r = np.empty_like(y)  # y - H s
+    finite = np.empty(p.shape, dtype=bool)
     rec = _TraceRecorder(H, y, T, N) if trace else None
     with np.errstate(over="ignore", invalid="ignore"):  # guarded explicitly below
         for t in range(T):
-            p = update(t, p, s)
-            if not np.isfinite(p).all():
-                if y.ndim == 1:
+            np.matmul(H, s, out=r)
+            np.subtract(y, r, out=r)
+            np.matmul(A, r, out=g)
+            if ths:
+                np.multiply(p, zeta[t], out=p)
+                np.multiply(g, eta[t], out=g)
+                np.add(p, g, out=p)
+            else:
+                np.multiply(g, gamma[t], out=g)
+                np.add(s, g, out=p)
+            if not np.isfinite(p, out=finite).all():
+                if not batch:
                     raise DetectorDivergenceError(name, t)
-                bad = ~np.isfinite(p).all(axis=0)
+                bad = ~finite.all(axis=-2)
                 diverged |= bad
-                p[:, bad] = 0.0
-            s = squash(t, p)
+                np.copyto(p, 0.0, where=bad[..., None, :])
+            if ths:
+                np.multiply(p, beta[t], out=s)
+            else:
+                np.divide(p, theta[t], out=s)
+            np.tanh(s, out=s)
             if rec is not None:
                 rec.record(t + 1, p, s)
     hard = hard_decision(s)
     if diverged.any():
-        s[:, diverged] = hard[:, diverged] = np.nan
+        np.copyto(s, np.nan, where=diverged[..., None, :])
+        np.copyto(hard, np.nan, where=diverged[..., None, :])
     return DetectionResult(soft=s, hard=hard, diverged=diverged,
                            trace=rec.build() if rec is not None else None)
-
-
-def _ths_unroll(H, y, params: ThsParams, trace: bool, name: str) -> DetectionResult:
-    beta, eta, zeta = params.beta, params.eta, params.zeta
-    return _unroll(H, y, params.T,
-                   lambda t, u, s: zeta[t] * u + eta[t] * (H.T @ (y - H @ s)),
-                   lambda t, u: np.tanh(beta[t] * u), trace, name)
 
 
 def ths_detect(H, y, params: ThsParams, trace: bool = False) -> DetectionResult:
@@ -334,7 +362,7 @@ def ths_detect(H, y, params: ThsParams, trace: bool = False) -> DetectionResult:
     ``y`` is one observation (M,) or a batch of columns (M, B) (see _unroll).
     """
     H, y, M, N = _check_system(H, y)
-    return _ths_unroll(H, y, params, trace, "ths")
+    return _unroll(H, H.T, y, params, trace, "ths")
 
 
 def hs_detect(H, y, params: HsParams, trace: bool = False) -> DetectionResult:
@@ -347,19 +375,7 @@ def hs_detect(H, y, params: HsParams, trace: bool = False) -> DetectionResult:
     the same arithmetic, so the two agree exactly.
     """
     H, y, M, N = _check_system(H, y)
-    return _ths_unroll(H, y, params.as_ths(), trace, "hs")
-
-
-def _tpg_iterate(H, y, W, params: TpgParams, trace: bool, name: str) -> DetectionResult:
-    """Shared projected-gradient loop: r_t = s_t + gamma_t W (y - H s_t),
-    s_{t+1} = tanh(r_t / |theta_t|), s_0 = 0.  Soft output is the last s.
-
-    The trace's u-slots hold the pre-projection search points r_t.
-    """
-    gamma, theta = params.gamma, params.theta
-    return _unroll(H, y, params.T,
-                   lambda t, r, s: s + gamma[t] * (W @ (y - H @ s)),
-                   lambda t, r: np.tanh(r / abs(theta[t])), trace, name)
+    return _unroll(H, H.T, y, params.as_ths(), trace, "hs")
 
 
 def scalable_tpg_detect(H, y, params: TpgParams, trace: bool = False) -> DetectionResult:
@@ -367,7 +383,7 @@ def scalable_tpg_detect(H, y, params: TpgParams, trace: bool = False) -> Detecti
     if params.variant != "scalable":
         raise ValueError(f"expected scalable variant, got {params.variant!r}")
     H, y, M, N = _check_system(H, y)
-    return _tpg_iterate(H, y, H.T, params, trace, "scalable_tpg")
+    return _unroll(H, H.T, y, params, trace, "scalable_tpg")
 
 
 def lmmse_like_matrix(H: np.ndarray, alpha: float) -> np.ndarray:
@@ -392,7 +408,7 @@ def tpg_detect(H, y, sigma2: float, params: TpgParams, trace: bool = False) -> D
         raise ValueError(f"expected lmmse variant, got {params.variant!r}")
     H, y, M, N = _check_system(H, y)
     W = lmmse_like_matrix(H, params.alpha)
-    return _tpg_iterate(H, y, W, params, trace, "tpg")
+    return _unroll(H, W, y, params, trace, "tpg")
 
 
 def mmse_detect(H, y, sigma2: float) -> DetectionResult:

@@ -139,9 +139,16 @@ def sample_channel(dims: SystemDims, rng) -> np.ndarray:
 
 
 def realify_channel(hc: np.ndarray) -> np.ndarray:
-    """Real 2m x 2n block matrix [[Re, -Im], [Im, Re]] of a complex channel."""
+    """Real 2m x 2n block matrix [[Re, -Im], [Im, Re]] of a complex channel,
+    filled block by block into one preallocated array."""
     hc = np.asarray(hc)
-    return np.block([[hc.real, -hc.imag], [hc.imag, hc.real]])
+    m, n = hc.shape[-2:]
+    out = np.empty(hc.shape[:-2] + (2 * m, 2 * n), dtype=hc.real.dtype)
+    out[..., :m, :n] = hc.real
+    np.negative(hc.imag, out=out[..., :m, n:])
+    out[..., m:, :n] = hc.imag
+    out[..., m:, n:] = hc.real
+    return out
 
 
 def realify_vector(v: np.ndarray) -> np.ndarray:

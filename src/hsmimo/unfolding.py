@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -173,6 +173,27 @@ def _flatten_grads(grads) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class TrainingWorkspace:
+    """Buffers of the unrolled passes, allocated once and reused.
+
+    ``rows`` holds the two (T+1, N, B) activation stacks (THS: u and s;
+    TPG: s and the pre-projection points r); ``scratch`` the (N, B) arrays
+    of one forward/backward pair: c = A y, the layer residual, and the
+    backward pass's ds, w and du.  A forward of depth d writes the views
+    [:d+1], so its activations stay valid until the next forward on the
+    same workspace.  Training allocates one workspace per run, 2 (T+1) N B
+    + 5 N B doubles, instead of fresh activations per mini-batch.
+    """
+
+    rows: np.ndarray  # (2, T+1, N, B)
+    scratch: np.ndarray  # (5, N, B): c, residual, ds, w, du
+
+    @classmethod
+    def allocate(cls, T: int, N: int, B: int) -> "TrainingWorkspace":
+        return cls(rows=np.empty((2, T + 1, N, B)), scratch=np.empty((5, N, B)))
+
+
+@dataclass
 class ThsActivations:
     """Saved forward states of the unrolled THS recursion (batch columns)."""
 
@@ -182,6 +203,7 @@ class ThsActivations:
     H: np.ndarray
     P: np.ndarray  # (N, N) Gram matrix H^T H
     depth: int
+    workspace: TrainingWorkspace  # owner of the arrays above and of the backward scratch
 
 
 @dataclass
@@ -193,14 +215,18 @@ class TpgActivations:
     W: np.ndarray
     P: np.ndarray  # (N, N) product W H
     depth: int
+    workspace: TrainingWorkspace
 
 
-def _mse_loss(s_out: np.ndarray, x: np.ndarray) -> float:
+def _mse_loss(s_out: np.ndarray, x: np.ndarray, scratch: np.ndarray) -> float:
     N, B = x.shape
-    return float(np.sum((s_out - x) ** 2)) / (N * B)
+    np.subtract(s_out, x, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    return float(np.sum(scratch)) / (N * B)
 
 
-def forward_unrolled(H, y, x, params: Params, depth_used: int):
+def forward_unrolled(H, y, x, params: Params, depth_used: int,
+                     workspace: Optional[TrainingWorkspace] = None):
     """Run the unrolled recursion for ``depth_used`` layers on a batch.
 
     ``y`` is (M, B), ``x`` is (N, B) with one sample per column.  Returns
@@ -211,9 +237,11 @@ def forward_unrolled(H, y, x, params: Params, depth_used: int):
     layer residual A (y - H s_t) is computed as c - P s_t from P = A H and
     c = A y, formed once per call.  Each layer is then one N x N x B
     product instead of two M x N x B products, cheaper when n < 2m.
-    Every elementwise step writes into the preallocated activation rows.
-    The residuals themselves are not kept: the backward pass recovers
-    their inner products from c, s_t and the P^T products it forms anyway.
+    Every elementwise step writes into the activation rows or the scratch
+    of ``workspace``; without one, the call allocates its own, so its
+    activations survive later calls.  The residuals themselves are not
+    kept: the backward pass recovers their inner products from c, s_t and
+    the P^T products it forms anyway.
     """
     if not (1 <= depth_used <= params.T):
         raise ValueError(f"depth_used must be in [1, {params.T}], got {depth_used}")
@@ -224,15 +252,20 @@ def forward_unrolled(H, y, x, params: Params, depth_used: int):
     B = x.shape[1]
     if x.shape != (N, B) or y.shape != (M, B):
         raise ValueError("batch shapes do not match the channel")
+    ws = workspace if workspace is not None else TrainingWorkspace.allocate(depth_used, N, B)
+    if ws.rows.shape[1] <= depth_used or ws.rows.shape[2:] != (N, B):
+        raise ValueError(f"workspace {ws.rows.shape} cannot hold depth {depth_used} "
+                         f"of an ({N}, {B}) batch")
+    c, g, loss_scratch = ws.scratch[:3]  # g: the layer residual c - P s_t
 
     if isinstance(params, ThsParams):
         P = H.T @ H
-        c = H.T @ y
-        u = np.empty((depth_used + 1, N, B))
-        s = np.empty((depth_used + 1, N, B))
+        np.matmul(H.T, y, out=c)
+        u = ws.rows[0, :depth_used + 1]
+        s = ws.rows[1, :depth_used + 1]
         u[0] = 0.0
         s[0] = 0.0
-        g = c.copy()  # residual c - P s_t; equal to c at t = 0 since s_0 = 0
+        np.copyto(g, c)  # g_0 = c since s_0 = 0
         with np.errstate(over="ignore", invalid="ignore"):  # guarded explicitly below
             for t in range(depth_used):
                 if t > 0:
@@ -245,19 +278,20 @@ def forward_unrolled(H, y, x, params: Params, depth_used: int):
                     raise DetectorDivergenceError("ths", t)
                 np.multiply(u[t + 1], params.beta[t], out=s[t + 1])
                 np.tanh(s[t + 1], out=s[t + 1])
-        acts = ThsActivations(u=u, s=s, c=c, H=H, P=P, depth=depth_used)
-        return _mse_loss(s[depth_used], x), acts
+        acts = ThsActivations(u=u, s=s, c=c, H=H, P=P, depth=depth_used, workspace=ws)
+        return _mse_loss(s[depth_used], x, loss_scratch), acts
 
     if params.variant == "scalable":
         W, name = H.T, "scalable_tpg"
     else:
         W, name = lmmse_like_matrix(H, params.alpha), "tpg"
     P = W @ H
-    c = W @ y
-    s = np.empty((depth_used + 1, N, B))
-    r = np.empty((depth_used, N, B))
+    np.matmul(W, y, out=c)
+    s = ws.rows[0, :depth_used + 1]
+    r = ws.rows[1, :depth_used]
     s[0] = 0.0
-    q = c.copy()  # residual c - P s_t; equal to c at t = 0 since s_0 = 0
+    q = g
+    np.copyto(q, c)  # q_0 = c since s_0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(depth_used):
             if t > 0:
@@ -269,8 +303,8 @@ def forward_unrolled(H, y, x, params: Params, depth_used: int):
                 raise DetectorDivergenceError(name, t)
             np.divide(r[t], abs(params.theta[t]), out=s[t + 1])
             np.tanh(s[t + 1], out=s[t + 1])
-    acts = TpgActivations(s=s, r=r, c=c, H=H, W=W, P=P, depth=depth_used)
-    return _mse_loss(s[depth_used], x), acts
+    acts = TpgActivations(s=s, r=r, c=c, H=H, W=W, P=P, depth=depth_used, workspace=ws)
+    return _mse_loss(s[depth_used], x, loss_scratch), acts
 
 
 def backward_gradients(acts, params: Params, x) -> Union[ThsGradient, TpgGradient]:
@@ -279,20 +313,23 @@ def backward_gradients(acts, params: Params, x) -> Union[ThsGradient, TpgGradien
     Gradient arrays have length params.T; layers beyond the unrolled depth
     do not influence the loss and get exact zeros.  The adjoint of a layer
     residual c - P s is -P^T, so each layer costs one N x N x B product.
-    The activations are read, never written.
+    The activations are read, never written; the (N, B) adjoints live in
+    the scratch of the workspace the activations came from.
     """
     x = np.asarray(x, dtype=float)
     N, B = x.shape
     d = acts.depth
     PT = acts.P.T
-    ds = 2.0 * (acts.s[d] - x) / (N * B)
-    w = np.empty_like(ds)
+    ds, w, du = acts.workspace.scratch[2:]
+    np.subtract(acts.s[d], x, out=ds)
+    np.multiply(ds, 2.0, out=ds)
+    np.divide(ds, N * B, out=ds)
 
     if isinstance(acts, ThsActivations):
         d_beta = np.zeros(params.T)
         d_eta = np.zeros(params.T)
         d_zeta = np.zeros(params.T)
-        du = np.zeros_like(ds)  # carries zeta_t du_{t+1} into layer t
+        du.fill(0.0)  # carries zeta_t du_{t+1} into layer t
         for t in range(d, 0, -1):
             # s_t = tanh(beta_{t-1} u_t)
             np.multiply(acts.s[t], acts.s[t], out=w)
@@ -446,13 +483,15 @@ def incremental_train(config: TrainingConfig) -> TrainingResult:
     """
     params = config.initial_params()
     root = RngStream(config.seed)
+    workspace = TrainingWorkspace.allocate(config.T, config.dims.N, config.batch_size)
     log: list = []
     for generation in range(1, config.T + 1):
         state = AdamState.zeros(_flatten_params(params).size)
         for batch_index in range(config.batches_per_generation):
             H, x, y = _draw_minibatch(config, root.child(generation, batch_index))
             try:
-                loss, acts = forward_unrolled(H, y, x, params, depth_used=generation)
+                loss, acts = forward_unrolled(H, y, x, params, depth_used=generation,
+                                              workspace=workspace)
                 grads = backward_gradients(acts, params, x)
                 params, state = adam_step(params, grads, state, config.learning_rate,
                                           beta1=config.adam_beta1, beta2=config.adam_beta2,

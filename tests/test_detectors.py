@@ -106,6 +106,115 @@ class TestBatchedColumns:
             detect(H, Y, trace=True)
 
 
+def reference_unroll(H, y, T, update, squash):
+    """Residual-form loop with fresh temporaries per layer: p_{t+1} =
+    update(t, p_t, s_t), s_{t+1} = squash(t, p_{t+1}).  Returns (soft, hard,
+    diverged, states); a single vector that diverges returns its iteration
+    as ``diverged`` instead."""
+    p = np.zeros((H.shape[1],) + y.shape[1:])
+    s = np.zeros_like(p)
+    diverged = np.zeros(y.shape[1:], dtype=bool)
+    states = [(p, s)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            p = update(t, p, s)
+            if not np.isfinite(p).all():
+                if y.ndim == 1:
+                    return None, None, t, states
+                bad = ~np.isfinite(p).all(axis=0)
+                diverged |= bad
+                p[:, bad] = 0.0
+            s = squash(t, p)
+            states.append((p, s))
+    hard = np.where(s >= 0, 1.0, -1.0)
+    if diverged.any():
+        s[:, diverged] = hard[:, diverged] = np.nan
+    return s, hard, diverged, states
+
+
+def kernel_cases(gen, H, y, T, scale):
+    """Each iterative detector on (H, y) with random per-layer scalars,
+    steps multiplied by ``scale``, next to its residual-form reference."""
+    ths = ThsParams(beta=gen.uniform(0.3, 3.0, T), eta=scale * gen.uniform(0.01, 0.3, T),
+                    zeta=gen.uniform(0.8, 1.2, T))
+    hs = HsParams(T=T, eta=scale * float(gen.uniform(0.01, 0.2)), lam=float(gen.uniform(0.5, 2.0)),
+                  beta=float(gen.uniform(0.5, 2.0)))
+    hs_zeta = 1.0 + hs.eta / hs.lam
+    stpg = TpgParams(gamma=scale * gen.uniform(0.01, 0.5, T),
+                     theta=gen.uniform(0.3, 2.0, T) * gen.choice([-1.0, 1.0], T))
+    tpg = TpgParams(gamma=scale * gen.uniform(0.01, 1.0, T),
+                    theta=gen.uniform(0.3, 2.0, T) * gen.choice([-1.0, 1.0], T),
+                    variant="lmmse", alpha=float(gen.uniform(0.1, 2.0)))
+    W = lmmse_like_matrix(H, tpg.alpha)
+
+    def tpg_reference(A, p):
+        return reference_unroll(H, y, T, lambda t, r, s: s + p.gamma[t] * (A @ (y - H @ s)),
+                                lambda t, r: np.tanh(r / abs(p.theta[t])))
+
+    return {
+        "ths": (lambda trace: ths_detect(H, y, ths, trace=trace),
+                reference_unroll(H, y, T,
+                                 lambda t, u, s: ths.zeta[t] * u + ths.eta[t] * (H.T @ (y - H @ s)),
+                                 lambda t, u: np.tanh(ths.beta[t] * u))),
+        "hs": (lambda trace: hs_detect(H, y, hs, trace=trace),
+               reference_unroll(H, y, T,
+                                lambda t, u, s: hs_zeta * u + hs.eta * (H.T @ (y - H @ s)),
+                                lambda t, u: np.tanh(hs.beta * u))),
+        "scalable_tpg": (lambda trace: scalable_tpg_detect(H, y, stpg, trace=trace),
+                         tpg_reference(H.T, stpg)),
+        "tpg": (lambda trace: tpg_detect(H, y, 0.1, tpg, trace=trace), tpg_reference(W, tpg)),
+    }
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestInPlaceKernel:
+    """The in-place loop reproduces the residual-form recursion bit for bit."""
+
+    @pytest.mark.parametrize("name", ITERATIVE)
+    @pytest.mark.parametrize("n,m,B", [(4, 3, 6), (3, 5, 1), (1, 1, 3), (50, 32, 8)])
+    def test_batch_and_single_calls(self, name, n, m, B):
+        gen = np.random.default_rng(n * 100 + B)
+        H, X, Y = random_batch(30 + n, n=n, m=m, B=B)
+        T = int(gen.integers(1, 31))
+        for y in (Y, Y[:, 0]):
+            detect, (soft, hard, diverged, _) = kernel_cases(gen, H, y, T, 1.0)[name]
+            result = detect(False)
+            assert_bitwise(result.soft, soft)
+            assert_bitwise(result.hard, hard)
+            np.testing.assert_array_equal(result.diverged, np.zeros(y.shape[1:], dtype=bool))
+
+    @pytest.mark.parametrize("name", ITERATIVE)
+    def test_traced_states(self, name):
+        gen = np.random.default_rng(31)
+        H, X, Y = random_batch(31, n=5, m=4, B=1)
+        detect, (soft, _, _, states) = kernel_cases(gen, H, Y[:, 0], 9, 1.0)[name]
+        result = detect(True)
+        assert_bitwise(result.soft, soft)
+        assert_bitwise(result.trace.u, np.stack([p for p, _ in states]))
+        assert_bitwise(result.trace.s, np.stack([s for _, s in states]))
+
+    @pytest.mark.parametrize("name", ITERATIVE)
+    def test_one_diverging_column(self, name):
+        # steps of order 1e10 overflow only on the column with a huge observation
+        gen = np.random.default_rng(32)
+        H, X, Y = random_batch(32, n=4, m=3, B=5)
+        Y[:, 2] = 1e300
+        detect, (soft, hard, diverged, _) = kernel_cases(gen, H, Y, 7, 1e10)[name]
+        np.testing.assert_array_equal(diverged, np.arange(5) == 2)
+        result = detect(False)
+        assert_bitwise(result.soft, soft)
+        assert_bitwise(result.hard, hard)
+        np.testing.assert_array_equal(result.diverged, diverged)
+        detect, (_, _, iteration, _) = kernel_cases(gen, H, Y[:, 2], 7, 1e10)[name]
+        with pytest.raises(DetectorDivergenceError) as err:
+            detect(False)
+        assert err.value.iteration == iteration
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("name", sorted(batch_detectors()))
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -13,6 +13,7 @@ from hsmimo.unfolding import (
     ThsGradient,
     TrainingConfig,
     TrainingDivergedError,
+    TrainingWorkspace,
     adam_step,
     backward_gradients,
     config_fingerprint,
@@ -131,6 +132,30 @@ class TestForwardUnrolled:
         backward_gradients(acts2, params, x2)
         for name, before in saved.items():
             np.testing.assert_array_equal(getattr(acts, name), before, err_msg=name)
+
+    @pytest.mark.parametrize("model", ["ths", "scalable", "lmmse"])
+    def test_forwards_on_one_workspace_share_memory(self, model):
+        gen = np.random.default_rng(8)
+        params = random_params(gen, 4, model)
+        ws = TrainingWorkspace.allocate(4, 8, 5)
+        H, x, y = random_batch(6, n=4, m=3, B=5)
+        loss, acts = forward_unrolled(H, y, x, params, depth_used=2, workspace=ws)
+        fresh_loss, fresh = forward_unrolled(H, y, x, params, depth_used=2)
+        assert loss == fresh_loss
+        H2, x2, y2 = random_batch(7, n=4, m=3, B=5)
+        _, acts2 = forward_unrolled(H2, y2, x2, params, depth_used=4, workspace=ws)
+        for name in ("s", "c"):
+            assert np.shares_memory(getattr(acts, name), getattr(acts2, name)), name
+            assert np.shares_memory(getattr(acts2, name), ws.rows if name == "s" else ws.scratch)
+            assert not np.shares_memory(getattr(fresh, name), getattr(acts2, name)), name
+
+    def test_workspace_shape_checked(self):
+        H, x, y = random_batch(4, B=4)
+        params = ThsParams.initial(3)
+        for T, N, B in [(2, 6, 4), (3, 6, 5), (3, 4, 4)]:
+            with pytest.raises(ValueError, match="workspace"):
+                forward_unrolled(H, y, x, params, depth_used=3,
+                                 workspace=TrainingWorkspace.allocate(T, N, B))
 
     def test_huge_eta_diverges_at_residual_form_layer(self):
         H, x, y = random_batch(9, n=4, m=3, B=8)
@@ -302,6 +327,22 @@ class TestIncrementalTrain:
         result = incremental_train(config)
         assert len(result.loss_log) == config.batches_per_generation
         assert result.params.T == 1
+
+    @pytest.mark.parametrize("model", ["ths", "scalable_tpg", "tpg"])
+    def test_workspace_run_equals_fresh_activations_bitwise(self, model, monkeypatch):
+        config = self.small_config(model=model, T=4, batches_per_generation=5)
+        shared = incremental_train(config)
+        workspaces = set()
+
+        def fresh_forward(H, y, x, params, depth_used, workspace=None):
+            workspaces.add(id(workspace))
+            return forward_unrolled(H, y, x, params, depth_used=depth_used)
+
+        monkeypatch.setattr("hsmimo.unfolding.forward_unrolled", fresh_forward)
+        fresh = incremental_train(config)
+        assert len(workspaces) == 1 and id(None) not in workspaces  # one workspace per run
+        assert _flatten_params(shared.params).tobytes() == _flatten_params(fresh.params).tobytes()
+        assert shared.loss_log == fresh.loss_log
 
     def test_training_determinism(self):
         config = self.small_config()
