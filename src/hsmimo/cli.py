@@ -2,8 +2,11 @@
 
 All commands are driven by a JSON config file (see ``--print-schema``) and
 are deterministic given (config, seed): rerunning with identical inputs
-produces byte-identical output files.  Exit codes: 0 success, 1 validation
-failure, 2 config or usage error, 3 runtime divergence.
+produces byte-identical output files.  ``CONFIG_SCHEMA`` is the one table
+of config keys: the loader rejects any key it does not list, coerces and
+range-checks the rest, and fills in its defaults, which for training come
+from ``TrainingConfig``.  Exit codes: 0 success, 1 validation failure, 2
+config or usage error, 3 runtime divergence.
 """
 
 from __future__ import annotations
@@ -12,23 +15,20 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .detectors import DetectorDivergenceError, HsParams
+from .detectors import DetectorDivergenceError
 from .evaluation import (
+    DETECTOR_TYPES,
+    Detector,
     QuadratureConfig,
     ValidationError,
     brute_force_expectation,
-    make_hs_detector,
-    make_ml_detector,
-    make_mmse_detector,
-    make_scalable_tpg_detector,
-    make_ths_detector,
-    make_tpg_detector,
+    make_detector,
     run_diagnostics,
     sweep_ber,
     sweep_ber_paired,
@@ -38,8 +38,7 @@ from .evaluation import (
 )
 from .system_model import RngStream, SystemDims, realify_channel, sample_channel
 from .unfolding import (
-    ThsParams,
-    TpgParams,
+    TRAINABLE_MODELS,
     TrainingConfig,
     TrainingDivergedError,
     config_fingerprint,
@@ -60,105 +59,167 @@ class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
 
 
-CONFIG_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "RunConfig",
-    "type": "object",
-    "required": ["seed"],
-    "properties": {
-        "schema_version": {"type": "integer", "const": CONFIG_SCHEMA_VERSION},
-        "seed": {"type": "integer", "description": "base RNG seed; mandatory"},
-        "out_dir": {"type": "string", "default": "out"},
-        "threads": {"type": "integer", "minimum": 1,
-                    "description": "worker threads; defaults to the CPU count"},
-        "dims": {
-            "type": "object",
-            "required": ["n", "m"],
-            "properties": {"n": {"type": "integer", "minimum": 1},
-                           "m": {"type": "integer", "minimum": 1}},
-        },
-        "train": {
-            "type": "object",
-            "properties": {
-                "model": {"enum": ["ths", "scalable_tpg", "tpg"]},
-                "T": {"type": "integer", "minimum": 1},
-                "snr_db": {"type": ["number", "array"]},
-                "batches_per_generation": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "init_eta": {"type": "number"},
-                "init_beta": {"type": "number"},
-                "init_zeta": {"type": "number"},
-                "init_gamma": {"type": "number"},
-                "init_theta": {"type": "number"},
-                "alpha": {"type": "number", "minimum": 0},
-                "params_out": {"type": "string"},
-                "log_out": {"type": "string"},
-            },
-        },
-        "eval": {
-            "type": "object",
-            "required": ["snr_grid_db", "detectors"],
-            "properties": {
-                "snr_grid_db": {"type": "array", "items": {"type": "number"}},
-                "vectors_per_point": {"type": "integer", "minimum": 1},
-                "channel_block": {"type": "integer", "minimum": 1},
-                "paired": {"type": "boolean", "default": True},
-                "detectors": {"type": "array", "items": {"$ref": "#/definitions/detector"}},
-                "report_stem": {"type": "string", "default": "ber_report"},
-            },
-        },
-        "diagnose": {
-            "type": "object",
-            "required": ["detectors"],
-            "properties": {
-                "ensemble": {"type": "integer", "minimum": 1},
-                "noiseless": {"type": "boolean", "default": True},
-                "snr_db": {"type": ["number", "null"]},
-                "detectors": {"type": "array", "items": {"$ref": "#/definitions/detector"}},
-                "out_stem": {"type": "string", "default": "diagnostics"},
-            },
-        },
-        "validate": {
-            "type": "object",
-            "properties": {
-                "a_values": {"type": "array", "items": {"type": "number"}},
-                "x_values": {"type": "array", "items": {"type": "number"}},
-                "identity_tolerance": {"type": "number"},
-                "expectation_instances": {"type": "integer", "minimum": 1},
-                "expectation_dims": {"$ref": "#/properties/dims"},
-                "expectation_beta_range": {"type": "array", "items": {"type": "number"}},
-                "expectation_tolerance": {"type": "number"},
-            },
-        },
-    },
-    "definitions": {
-        "detector": {
-            "type": "object",
-            "required": ["type"],
-            "description": "ths/scalable_tpg/tpg take either a params_file or "
-                           "inline per-iteration constants; hs takes constants only",
-            "properties": {
-                "type": {"enum": ["ths", "hs", "scalable_tpg", "tpg", "mmse", "ml"]},
-                "name": {"type": "string", "description": "defaults to the type"},
-                "params_file": {"type": "string",
-                                "description": "trained-parameter JSON (ths / scalable_tpg / tpg); "
-                                               "relative paths resolve against the config directory"},
-                "T": {"type": "integer", "description": "depth for constant-parameter detectors"},
-                "eta": {"type": "number", "description": "hs / constant ths"},
-                "lambda": {"type": "number", "description": "hs only"},
-                "beta": {"type": "number", "description": "hs / constant ths"},
-                "zeta": {"type": "number", "description": "constant ths only"},
-                "gamma": {"type": "number", "description": "constant tpg variants"},
-                "theta": {"type": "number", "description": "constant tpg variants"},
-                "alpha": {"type": "number", "description": "tpg only"},
-            },
-        },
-    },
+# ---------------------------------------------------------------------------
+# Config table
+# ---------------------------------------------------------------------------
+
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainingConfig)}
+
+# Inline constants a detector entry of each parametrised type may give instead
+# of a params_file: config key -> keyword of DetectorType.initial.  A constant
+# left out takes the default of the type's parameter class.
+_CONSTANTS = {
+    "ths": {"eta": "eta", "beta": "beta", "zeta": "zeta"},
+    "hs": {"eta": "eta", "lambda": "lam", "beta": "beta"},
+    "scalable_tpg": {"gamma": "gamma", "theta": "theta"},
+    "tpg": {"gamma": "gamma", "theta": "theta", "alpha": "alpha"},
 }
 
 
-def _load_config(path) -> dict:
+def _count(**extra) -> dict:
+    return {"type": "integer", "minimum": 1, **extra}
+
+
+def _numbers(**extra) -> dict:
+    return {"type": "array", "items": {"type": "number"}, **extra}
+
+
+def _object(properties: dict, required=(), **extra) -> dict:
+    return {"type": "object", "required": list(required), "properties": properties,
+            "additionalProperties": False, **extra}
+
+
+def _training_fields(**properties) -> dict:
+    """Train-section keys named after TrainingConfig fields, with their defaults."""
+    return {key: {**spec, "default": _TRAIN_DEFAULTS[key]} for key, spec in properties.items()}
+
+
+def _detector(kind: str) -> dict:
+    """Entry of one detector type.  A trainable type takes either a params_file
+    or inline constants, hs takes inline constants only, mmse and ml none."""
+    properties = {"type": {"type": "string", "enum": [kind]},
+                  "name": {"type": "string", "description": "defaults to the type"}}
+    if kind in TRAINABLE_MODELS:
+        properties["params_file"] = {"type": "string", "description": "trained-parameter JSON; "
+                                     "a relative path resolves against the config directory"}
+    if kind in _CONSTANTS:
+        properties["T"] = _count(description=f"defaults to {_TRAIN_DEFAULTS['T']}")
+        properties.update({key: {"type": "number"} for key in _CONSTANTS[kind]})
+    return _object(properties, required=["type"])
+
+
+_DIMS = _object({"n": _count(), "m": _count()}, required=["n", "m"])
+
+_DETECTOR = {"oneOf": [_detector(kind) for kind in DETECTOR_TYPES]}
+
+CONFIG_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "RunConfig",
+    **_object({
+        "schema_version": {"type": "integer", "enum": [CONFIG_SCHEMA_VERSION],
+                           "default": CONFIG_SCHEMA_VERSION},
+        "seed": {"type": "integer", "description": "base RNG seed; mandatory"},
+        "out_dir": {"type": "string", "default": "out"},
+        "dims": _DIMS,
+        "train": _object({
+            **_training_fields(
+                model={"type": "string", "enum": list(TRAINABLE_MODELS)},
+                T=_count(),
+                batches_per_generation=_count(),
+                batch_size=_count(),
+                learning_rate={"type": "number", "exclusiveMinimum": 0},
+                init_eta={"type": "number"},
+                init_beta={"type": "number"},
+                init_zeta={"type": "number"},
+                init_gamma={"type": "number"},
+                init_theta={"type": "number"},
+                alpha={"type": "number", "minimum": 0},
+            ),
+            "snr_db": {"type": ["number", "array"], "items": {"type": "number"}, "minItems": 1,
+                       "default": list(_TRAIN_DEFAULTS["snr_schedule"]),
+                       "description": "one SNR, or a list each mini-batch draws one from"},
+            "params_out": {"type": "string", "description": "defaults to <model>_params.json"},
+            "log_out": {"type": "string", "default": "training_log.csv"},
+        }),
+        "eval": _object({
+            "snr_grid_db": _numbers(minItems=1),
+            "vectors_per_point": _count(default=1000),
+            "channel_block": _count(default=1),
+            "paired": {"type": "boolean", "default": True},
+            "detectors": {"type": "array", "items": _DETECTOR, "minItems": 1},
+            "report_stem": {"type": "string", "default": "ber_report"},
+        }, required=["snr_grid_db", "detectors"]),
+        "diagnose": _object({
+            "ensemble": _count(default=1000),
+            "noiseless": {"type": "boolean", "default": True},
+            "snr_db": {"type": ["number", "null"], "default": None},
+            "detectors": {"type": "array", "items": _DETECTOR},
+            "out_stem": {"type": "string", "default": "diagnostics"},
+        }, required=["detectors"]),
+        "validate": _object({
+            "a_values": _numbers(default=[0.5, 1.0, 2.0]),
+            "x_values": _numbers(default=[-2.0, -1.0, 0.0, 1.0, 2.0]),
+            "identity_tolerance": {"type": "number", "default": 1e-8},
+            "expectation_instances": _count(default=100),
+            "expectation_dims": {**_DIMS, "default": {"n": 6, "m": 5}},
+            "expectation_beta_range": _numbers(minItems=2, maxItems=2, default=[0.1, 5.0]),
+            "expectation_tolerance": {"type": "number", "default": 1e-10},
+        }, default={}),
+    }, required=["seed"]),
+}
+
+
+_COERCE = {"integer": int, "number": float, "boolean": bool, "string": str}
+
+
+def _checked(value, spec: dict, path: str):
+    """``value`` checked against the table entry ``spec`` at ``path``: an
+    object may hold only the keys its entry lists and gets the defaults of
+    those left out, an array is checked item by item, and a scalar passes
+    through int() / float() / bool() / str() and its range check."""
+    if "oneOf" in spec:  # a detector entry, checked against the entry of its type
+        kind = value.get("type") if isinstance(value, dict) else None
+        branches = [b for b in spec["oneOf"] if kind in b["properties"]["type"]["enum"]]
+        if not branches:
+            raise ConfigError(f"{path}.type: expected one of {list(DETECTOR_TYPES)}, got {kind!r}")
+        spec = branches[0]
+    types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+    if value is None and "null" in types:
+        return None
+    if isinstance(value, dict) and "object" in types:
+        properties, prefix = spec["properties"], f"{path}." if path else ""
+        for key in value:
+            if key not in properties:
+                raise ConfigError(f"{prefix}{key}: unknown key; "
+                                  f"{path or 'the config'} takes {', '.join(properties)}")
+        for key in spec["required"]:
+            if key not in value:
+                raise ConfigError(f"{prefix}{key}: required key is missing")
+        return {key: _checked(value[key] if key in value else sub["default"], sub, prefix + key)
+                for key, sub in properties.items() if key in value or "default" in sub}
+    if isinstance(value, list) and "array" in types:
+        lo, hi = spec.get("minItems", 0), spec.get("maxItems", len(value))
+        if not lo <= len(value) <= hi:
+            raise ConfigError(f"{path}: takes {lo}..{hi} items, got {len(value)}")
+        return [_checked(item, spec["items"], f"{path}[{i}]") for i, item in enumerate(value)]
+    convert = _COERCE.get(types[0])
+    mismatch = f"{path}: expected {' or '.join(types)}, got {value!r}"
+    if convert is None or value is None or isinstance(value, (dict, list)):
+        raise ConfigError(mismatch)
+    try:
+        value = convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(mismatch) from None
+    if "enum" in spec and value not in spec["enum"]:
+        raise ConfigError(f"{path}: expected one of {spec['enum']}, got {value!r}")
+    if "minimum" in spec and value < spec["minimum"]:
+        raise ConfigError(f"{path}: must be >= {spec['minimum']}, got {value}")
+    if "exclusiveMinimum" in spec and value <= spec["exclusiveMinimum"]:
+        raise ConfigError(f"{path}: must be > {spec['exclusiveMinimum']}, got {value}")
+    return value
+
+
+def _read_config(path) -> dict:
     if path is None:
         raise ConfigError("--config is required for this command")
     p = Path(path)
@@ -170,127 +231,60 @@ def _load_config(path) -> dict:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: top-level config must be a JSON object")
-    version = cfg.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"{p}: unsupported schema_version {version}")
-    cfg["_config_dir"] = p.parent
     return cfg
-
-
-def _require(cfg: dict, key: str, context: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r} in {context}")
-    return cfg[key]
-
-
-def _resolve_common(cfg: dict, args) -> dict:
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is mandatory (config key 'seed' or --seed)")
-    try:
-        RngStream(int(seed))  # the stream's own check rejects a negative seed
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid seed {seed!r}: {exc}") from exc
-    out_dir = Path(args.out) if args.out is not None else Path(cfg.get("out_dir", "out"))
-    threads = args.threads if args.threads is not None else cfg.get("threads", os.cpu_count() or 1)
-    if int(threads) < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    return {"seed": int(seed), "out_dir": out_dir, "threads": int(threads)}
-
-
-def _parse_dims(cfg: dict) -> SystemDims:
-    d = _require(cfg, "dims", "config")
-    try:
-        return SystemDims(n=int(_require(d, "n", "dims")), m=int(_require(d, "m", "dims")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def _constant_params(entry: dict, kind: str, name: str, depth_default: int):
-    """Per-iteration constants given inline instead of a trained-parameter file."""
-    T = int(entry.get("T", depth_default))
-    try:
-        if kind == "ths":
-            return ThsParams.initial(T, eta=float(entry.get("eta", 0.01)),
-                                     beta=float(entry.get("beta", 1.0)),
-                                     zeta=float(entry.get("zeta", 1.0)))
-        return TpgParams.initial(T, gamma=float(entry.get("gamma", 0.01)),
-                                 theta=float(entry.get("theta", 1.0)),
-                                 variant="scalable" if kind == "scalable_tpg" else "lmmse",
-                                 alpha=float(entry.get("alpha", 1.0)))
-    except ValueError as exc:
-        raise ConfigError(f"detector {name!r}: {exc}") from exc
-
-
-def _build_detector(entry: dict, config_dir: Path, depth_default: int = 30):
-    kind = _require(entry, "type", "detector entry")
+def _build_detector(entry: dict, path: str, config_dir: Path) -> Detector:
+    """The detector of one checked config entry at ``path``."""
+    kind = entry["type"]
     name = entry.get("name", kind)
-    if kind in ("ths", "scalable_tpg", "tpg"):
-        if "params_file" not in entry:
-            params = _constant_params(entry, kind, name, depth_default)
-            fingerprint = ""
-        else:
-            path = Path(entry["params_file"])
-            if not path.is_absolute():
-                path = config_dir / path
-            if not path.is_file():
-                raise ConfigError(f"detector {name!r}: parameter file not found: {path}")
-            params = load_params(path)
-            fingerprint = _file_sha256(path)
-        if kind == "ths":
-            if not isinstance(params, ThsParams):
-                raise ConfigError(f"detector {name!r}: parameters are not THS parameters")
-            return make_ths_detector(params, name=name, fingerprint=fingerprint)
-        if not isinstance(params, TpgParams):
-            raise ConfigError(f"detector {name!r}: parameters are not TPG parameters")
-        expected = "scalable" if kind == "scalable_tpg" else "lmmse"
-        if params.variant != expected:
-            raise ConfigError(f"detector {name!r}: parameter variant {params.variant!r} "
-                              f"does not match detector type {kind!r}")
-        maker = make_scalable_tpg_detector if kind == "scalable_tpg" else make_tpg_detector
-        return maker(params, name=name, fingerprint=fingerprint)
-    if kind == "hs":
-        params = HsParams(T=int(entry.get("T", depth_default)), eta=float(entry.get("eta", 0.1)),
-                          lam=float(entry.get("lambda", 1.0)), beta=float(entry.get("beta", 1.0)))
-        return make_hs_detector(params, name=name)
-    if kind == "mmse":
-        return make_mmse_detector(name=name)
-    if kind == "ml":
-        return make_ml_detector(name=name)
-    raise ConfigError(f"unknown detector type {kind!r}")
+    if "params_file" in entry and entry.keys() - {"type", "name", "params_file"}:
+        raise ConfigError(f"{path}: give either params_file or inline constants, not both")
+    try:
+        if "params_file" in entry:
+            file = Path(entry["params_file"])
+            if not file.is_absolute():
+                file = config_dir / file
+            if not file.is_file():
+                raise ConfigError(f"{path}.params_file: parameter file not found: {file}")
+            return make_detector(kind, load_params(file), name=name,
+                                 fingerprint=_file_sha256(file))
+        params = None
+        if kind in _CONSTANTS:
+            given = {keyword: entry[key] for key, keyword in _CONSTANTS[kind].items()
+                     if key in entry}
+            params = DETECTOR_TYPES[kind].initial(entry.get("T", _TRAIN_DEFAULTS["T"]), **given)
+        return make_detector(kind, params, name=name)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} (detector {name!r}): {exc}") from exc
+
+
+def _build_detectors(cfg: dict, section: str, config_dir: Path) -> list:
+    return [_build_detector(entry, f"{section}.detectors[{i}]", config_dir)
+            for i, entry in enumerate(cfg[section]["detectors"])]
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_train(cfg: dict, common: dict) -> int:
-    section = _require(cfg, "train", "config")
-    dims = _parse_dims(cfg)
-    tc = TrainingConfig(
-        dims=dims,
-        snr_schedule=section.get("snr_db", 20.0),
-        T=int(section.get("T", 30)),
-        batches_per_generation=int(section.get("batches_per_generation", 200)),
-        batch_size=int(section.get("batch_size", 200)),
-        learning_rate=float(section.get("learning_rate", 2e-4)),
-        init_eta=float(section.get("init_eta", 0.01)),
-        init_beta=float(section.get("init_beta", 1.0)),
-        init_zeta=float(section.get("init_zeta", 1.0)),
-        seed=common["seed"],
-        model=section.get("model", "ths"),
-        init_gamma=float(section.get("init_gamma", 0.01)),
-        init_theta=float(section.get("init_theta", 1.0)),
-        alpha=float(section.get("alpha", 1.0)),
-    )
-    out_dir = common["out_dir"]
+def cmd_train(cfg: dict, config_dir: Path) -> int:
+    train, dims = cfg["train"], SystemDims(**cfg["dims"])
+    # every train key but snr_db and the two file names is a TrainingConfig field
+    field_values = {key: value for key, value in train.items() if key in _TRAIN_DEFAULTS}
+    try:
+        tc = TrainingConfig(dims=dims, snr_schedule=train["snr_db"], seed=cfg["seed"],
+                            **field_values)
+    except ValueError as exc:
+        raise ConfigError(f"train: {exc}") from exc
+    out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    params_path = out_dir / section.get("params_out", f"{tc.model}_params.json")
-    log_path = out_dir / section.get("log_out", "training_log.csv")
+    params_path = out_dir / train.get("params_out", f"{tc.model}_params.json")
+    log_path = out_dir / train["log_out"]
     try:
         result = incremental_train(tc)
     except TrainingDivergedError as exc:
@@ -313,28 +307,24 @@ def cmd_train(cfg: dict, common: dict) -> int:
     return EXIT_OK
 
 
-def cmd_eval(cfg: dict, common: dict) -> int:
-    section = _require(cfg, "eval", "config")
-    dims = _parse_dims(cfg)
-    grid = [float(s) for s in _require(section, "snr_grid_db", "eval")]
-    entries = _require(section, "detectors", "eval")
-    if not entries:
-        raise ConfigError("eval.detectors must not be empty")
-    detectors = [_build_detector(e, cfg["_config_dir"]) for e in entries]
+def cmd_eval(cfg: dict, config_dir: Path) -> int:
+    section, dims = cfg["eval"], SystemDims(**cfg["dims"])
+    detectors = _build_detectors(cfg, "eval", config_dir)
     names = [d.name for d in detectors]
     if len(set(names)) != len(names):
         raise ConfigError(f"detector names must be unique, got {names}")
-    vectors = int(section.get("vectors_per_point", 1000))
-    channel_block = int(section.get("channel_block", 1))
-    rng = RngStream(common["seed"])
-    if section.get("paired", True):
+    grid, vectors = section["snr_grid_db"], section["vectors_per_point"]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"eval.snr_grid_db: must be strictly increasing, got {grid}")
+    rng = RngStream(cfg["seed"])
+    if section["paired"]:
         curves = sweep_ber_paired(detectors, dims, grid, vectors, rng,
-                                  channel_block=channel_block, threads=common["threads"])
+                                  channel_block=section["channel_block"])
     else:
         curves = {det.name: sweep_ber(det, dims, grid, vectors, rng.child(k),
-                                      channel_block=channel_block, threads=common["threads"])
+                                      channel_block=section["channel_block"])
                   for k, det in enumerate(detectors)}
-    stem = common["out_dir"] / section.get("report_stem", "ber_report")
+    stem = Path(cfg["out_dir"]) / section["report_stem"]
     csv_path, json_path = write_report([curves[n] for n in names], stem)
     for name in names:
         for p in curves[name].points:
@@ -344,25 +334,19 @@ def cmd_eval(cfg: dict, common: dict) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: dict, common: dict) -> int:
-    section = _require(cfg, "diagnose", "config")
-    dims = _parse_dims(cfg)
-    entries = _require(section, "detectors", "diagnose")
-    detectors = [_build_detector(e, cfg["_config_dir"]) for e in entries]
+def cmd_diagnose(cfg: dict, config_dir: Path) -> int:
+    section, dims = cfg["diagnose"], SystemDims(**cfg["dims"])
+    detectors = _build_detectors(cfg, "diagnose", config_dir)
     for det in detectors:
         if not det.traceable:
             raise ConfigError(f"detector {det.name!r} does not support tracing")
-    ensemble = int(section.get("ensemble", 1000))
-    noiseless = bool(section.get("noiseless", True))
-    snr_db = section.get("snr_db")
+    noiseless, snr_db = section["noiseless"], section["snr_db"]
     if not noiseless and snr_db is None:
         raise ConfigError("diagnose.snr_db is required when noiseless is false")
-    rng = RngStream(common["seed"])
-    records = [run_diagnostics(det, dims, ensemble, noiseless, rng,
-                               snr_db=None if snr_db is None else float(snr_db),
-                               threads=common["threads"])
+    rng = RngStream(cfg["seed"])
+    records = [run_diagnostics(det, dims, section["ensemble"], noiseless, rng, snr_db=snr_db)
                for det in detectors]
-    stem = common["out_dir"] / section.get("out_stem", "diagnostics")
+    stem = Path(cfg["out_dir"]) / section["out_stem"]
     csv_path = write_diagnostics(records, stem)
     for rec in records:
         g = rec.mean_gradient_amplitude
@@ -372,16 +356,14 @@ def cmd_diagnose(cfg: dict, common: dict) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: dict, common: dict) -> int:
-    section = cfg.get("validate", {})
-    a_values = [float(a) for a in section.get("a_values", [0.5, 1.0, 2.0])]
-    x_values = [float(x) for x in section.get("x_values", [-2.0, -1.0, 0.0, 1.0, 2.0])]
-    identity_tol = float(section.get("identity_tolerance", 1e-8))
-    instances = int(section.get("expectation_instances", 100))
-    exp_dims_cfg = section.get("expectation_dims", {"n": 6, "m": 5})
-    exp_dims = SystemDims(n=int(exp_dims_cfg["n"]), m=int(exp_dims_cfg["m"]))
-    beta_lo, beta_hi = [float(b) for b in section.get("expectation_beta_range", [0.1, 5.0])]
-    expectation_tol = float(section.get("expectation_tolerance", 1e-10))
+def cmd_validate(cfg: dict, config_dir: Path) -> int:
+    section = cfg["validate"]
+    a_values, x_values = section["a_values"], section["x_values"]
+    identity_tol = section["identity_tolerance"]
+    instances = section["expectation_instances"]
+    exp_dims = SystemDims(**section["expectation_dims"])
+    beta_lo, beta_hi = section["expectation_beta_range"]
+    expectation_tol = section["expectation_tolerance"]
 
     failures = 0
     print("Gaussian-integral identity (trapezoidal quadrature):")
@@ -395,7 +377,7 @@ def cmd_validate(cfg: dict, common: dict) -> int:
 
     print(f"expectation factorization (N={exp_dims.N}, {instances} instances, "
           f"beta in [{beta_lo}, {beta_hi}]):")
-    rng = RngStream(common["seed"], stream_id=7)
+    rng = RngStream(cfg["seed"], stream_id=7)
     worst = 0.0
     for i in range(instances):
         stream = rng.child(i)
@@ -437,15 +419,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="run config JSON file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", type=str, default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
     return parser
 
 
+# Each command and the config sections it needs beyond "seed".
 _COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "diagnose": cmd_diagnose,
-    "validate": cmd_validate,
+    "train": (cmd_train, ["dims", "train"]),
+    "eval": (cmd_eval, ["dims", "eval"]),
+    "diagnose": (cmd_diagnose, ["dims", "diagnose"]),
+    "validate": (cmd_validate, []),
 }
 
 
@@ -453,18 +435,26 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.print_schema:
-        print(json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=False))
+        print(json.dumps(CONFIG_SCHEMA, indent=2))
         return EXIT_OK
     if args.command is None:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
         if args.command == "validate" and args.config is None:
-            cfg = {"seed": 0, "_config_dir": Path(".")}
+            raw, config_dir = {"seed": 0}, Path(".")
         else:
-            cfg = _load_config(args.config)
-        common = _resolve_common(cfg, args)
-        return _COMMANDS[args.command](cfg, common)
+            raw, config_dir = _read_config(args.config), Path(args.config).parent
+        overrides = {key: value for key, value in (("seed", args.seed), ("out_dir", args.out))
+                     if value is not None}
+        command, sections = _COMMANDS[args.command]
+        cfg = _checked({**raw, **overrides},
+                       {**CONFIG_SCHEMA, "required": CONFIG_SCHEMA["required"] + sections}, "")
+        try:
+            RngStream(cfg["seed"])  # the stream's own check rejects a negative seed
+        except ValueError as exc:
+            raise ConfigError(f"invalid seed {cfg['seed']!r}: {exc}") from exc
+        return command(cfg, config_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

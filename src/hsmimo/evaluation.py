@@ -1,13 +1,16 @@
 """Monte Carlo BER estimation, convergence diagnostics, and validators.
 
 BER runs draw independent (channel, signal, noise) triples from dedicated
-substreams, so results are bit-reproducible for a fixed (seed, stream) and
-independent of the worker-thread count.  When several detectors are
-evaluated together they see identical samples (paired comparison).  The
-vectors of one Monte Carlo chunk that share a channel (``channel_block``)
-are detected together as the columns of one batch: the channel is drawn
-once and each detector runs once per batch, while every vector still
-draws its signal and noise from its own substream.
+substreams, so results are bit-reproducible for a fixed (seed, stream).
+When several detectors are evaluated together they see identical samples
+(paired comparison).  Vectors are processed in fixed Monte Carlo chunks of
+``_MC_CHUNK``.  The vectors of one chunk that share a channel
+(``channel_block``) are detected together as the columns of one batch: the
+channel is drawn once and each detector runs once per batch, while every
+vector still draws its signal and noise from its own substream.  The chunks
+fix the widest batch a detector sees and the order in which diagnostics
+add up their floating-point partial sums, so both are part of what makes a
+result reproducible.
 
 Also houses two numerical self-checks of the math the HS detector rests
 on: the Gaussian-integral identity exp(-a x^2 / 2) =
@@ -21,8 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -52,8 +55,9 @@ SCHEMA_VERSION = 1
 # Substream domains inside one evaluation run.
 _CHAN, _SIG, _NOISE = 0, 1, 2
 
-# Fixed Monte Carlo chunk size: the chunk decomposition (and with it every
-# floating-point reduction order) must not depend on the thread count.
+# Fixed Monte Carlo chunk size.  It bounds the batch width of each detector
+# call, and run_diagnostics sums per-chunk partials in chunk order, so
+# changing it changes floating-point results.
 _MC_CHUNK = 64
 
 
@@ -83,49 +87,78 @@ class Detector:
     param_fingerprint: str = ""
 
 
-def make_ths_detector(params: ThsParams, name: str = "ths", fingerprint: str = "") -> Detector:
+def _ml_detect(H, y) -> DetectionResult:
+    """Exhaustive ML detection of one observation (M,) or of each column of (M, B)."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        return brute_force_ml_detect(H, y)
+    hard = np.stack([brute_force_ml_detect(H, col).hard for col in y.T], axis=1)
+    return DetectionResult(soft=hard, hard=hard.copy())
+
+
+@dataclass(frozen=True)
+class DetectorType:
+    """One detector type: how it runs and which parameters it takes.
+
+    ``run(params, H, y, sigma2, trace)`` calls its detector function by a
+    module-global name looked up at call time, so patching
+    ``hsmimo.evaluation.<type>_detect`` reaches every detector built here.
+    ``variant`` is the ``TpgParams.variant`` a TPG type runs.
+    """
+
+    run: Callable
+    params_class: Optional[type] = None
+    variant: Optional[str] = None
+    traceable: bool = True
+
+    def initial(self, T: int, **constants):
+        """Untrained parameters: ``constants`` at each of T layers, class defaults for the rest."""
+        if self.params_class is HsParams:
+            return HsParams(T, **constants)
+        if self.variant is not None:
+            constants["variant"] = self.variant
+        return self.params_class.initial(T, **constants)
+
+
+DETECTOR_TYPES = {
+    "ths": DetectorType(lambda p, H, y, s2, trace: ths_detect(H, y, p, trace=trace), ThsParams),
+    "hs": DetectorType(lambda p, H, y, s2, trace: hs_detect(H, y, p, trace=trace), HsParams),
+    "scalable_tpg": DetectorType(
+        lambda p, H, y, s2, trace: scalable_tpg_detect(H, y, p, trace=trace),
+        TpgParams, variant="scalable"),
+    "tpg": DetectorType(lambda p, H, y, s2, trace: tpg_detect(H, y, s2, p, trace=trace),
+                        TpgParams, variant="lmmse"),
+    "mmse": DetectorType(lambda p, H, y, s2, trace: mmse_detect(H, y, s2), traceable=False),
+    "ml": DetectorType(lambda p, H, y, s2, trace: _ml_detect(H, y), traceable=False),
+}
+
+
+def make_detector(kind: str, params=None, name: Optional[str] = None,
+                  fingerprint: str = "") -> Detector:
+    """A Detector of registered type ``kind``, named ``kind`` unless ``name`` is
+    given; a parametrised type needs ``params`` of its class and TPG variant."""
+    spec = DETECTOR_TYPES[kind]
+    if spec.params_class is not None and not isinstance(params, spec.params_class):
+        raise TypeError(f"{kind} detector needs {spec.params_class.__name__}, "
+                        f"got {type(params).__name__}")
+    if spec.variant is not None and params.variant != spec.variant:
+        raise ValueError(f"{kind} detector needs the {spec.variant!r} TPG variant, "
+                         f"got {params.variant!r}")
+
     def run(H, y, sigma2, trace=False):
-        return ths_detect(H, y, params, trace=trace)
-    return Detector(name=name, run=run, depth=params.T, param_fingerprint=fingerprint)
+        if trace and not spec.traceable:
+            raise ValueError(f"{kind} detector does not support tracing")
+        return spec.run(params, H, y, sigma2, trace)
+    return Detector(name=name or kind, run=run, depth=getattr(params, "T", None),
+                    traceable=spec.traceable, param_fingerprint=fingerprint)
 
 
-def make_hs_detector(params: HsParams, name: str = "hs") -> Detector:
-    def run(H, y, sigma2, trace=False):
-        return hs_detect(H, y, params, trace=trace)
-    return Detector(name=name, run=run, depth=params.T)
-
-
-def make_scalable_tpg_detector(params: TpgParams, name: str = "scalable_tpg",
-                               fingerprint: str = "") -> Detector:
-    def run(H, y, sigma2, trace=False):
-        return scalable_tpg_detect(H, y, params, trace=trace)
-    return Detector(name=name, run=run, depth=params.T, param_fingerprint=fingerprint)
-
-
-def make_tpg_detector(params: TpgParams, name: str = "tpg", fingerprint: str = "") -> Detector:
-    def run(H, y, sigma2, trace=False):
-        return tpg_detect(H, y, sigma2, params, trace=trace)
-    return Detector(name=name, run=run, depth=params.T, param_fingerprint=fingerprint)
-
-
-def make_mmse_detector(name: str = "mmse") -> Detector:
-    def run(H, y, sigma2, trace=False):
-        if trace:
-            raise ValueError("mmse detector does not support tracing")
-        return mmse_detect(H, y, sigma2)
-    return Detector(name=name, run=run, traceable=False)
-
-
-def make_ml_detector(name: str = "ml") -> Detector:
-    def run(H, y, sigma2, trace=False):
-        if trace:
-            raise ValueError("ml detector does not support tracing")
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return brute_force_ml_detect(H, y)
-        hard = np.stack([brute_force_ml_detect(H, col).hard for col in y.T], axis=1)
-        return DetectionResult(soft=hard, hard=hard.copy())
-    return Detector(name=name, run=run, traceable=False)
+make_ths_detector = partial(make_detector, "ths")
+make_hs_detector = partial(make_detector, "hs")
+make_scalable_tpg_detector = partial(make_detector, "scalable_tpg")
+make_tpg_detector = partial(make_detector, "tpg")
+make_mmse_detector = partial(make_detector, "mmse")
+make_ml_detector = partial(make_detector, "ml")
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +214,6 @@ def _mc_chunks(num_vectors: int):
     return [range(lo, min(lo + _MC_CHUNK, num_vectors)) for lo in range(0, num_vectors, _MC_CHUNK)]
 
 
-def _run_chunks(worker, chunks, threads: int):
-    """Map worker over chunks, preserving chunk order in the result list."""
-    if threads <= 1 or len(chunks) <= 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
-
-
 def _draw_vector_sample(dims, noise, rng, i, channel_block):
     H = realify_channel(sample_channel(dims, rng.child(_CHAN, i // channel_block)))
     x = sample_signal(dims, rng.child(_SIG, i))
@@ -206,8 +231,7 @@ def _draw_batch_sample(dims, noise, rng, batch, channel_block):
 
 
 def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db: float,
-                        num_vectors: int, rng: RngStream, channel_block: int = 1,
-                        threads: int = 1) -> dict:
+                        num_vectors: int, rng: RngStream, channel_block: int = 1) -> dict:
     """BER of several detectors on identical samples at one SNR.
 
     Draws ``num_vectors`` independent (channel, x, noise) triples -- a
@@ -223,10 +247,9 @@ def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db:
     if channel_block < 1:
         raise ValueError("channel_block must be >= 1")
     noise = NoiseModel.from_snr(snr_db, dims.n)
-
-    def worker(chunk):
-        errors = [0] * len(detectors)
-        diverged = [0] * len(detectors)
+    errors = [0] * len(detectors)
+    diverged = [0] * len(detectors)
+    for chunk in _mc_chunks(num_vectors):
         for _, batch in itertools.groupby(chunk, key=lambda i: i // channel_block):
             H, X, Y = _draw_batch_sample(dims, noise, rng, list(batch), channel_block)
             for k, det in enumerate(detectors):
@@ -240,28 +263,21 @@ def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db:
                 wrong[bad] = dims.N
                 errors[k] += int(wrong.sum())
                 diverged[k] += int(np.count_nonzero(bad))
-        return errors, diverged
-
-    partials = _run_chunks(worker, _mc_chunks(num_vectors), threads)
     bits = dims.N * num_vectors
-    out = {}
-    for k, det in enumerate(detectors):
-        errs = sum(p[0][k] for p in partials)
-        divs = sum(p[1][k] for p in partials)
-        out[det.name] = BerPoint.from_counts(snr_db, det.name, bits, errs, num_vectors, divs)
-    return out
+    return {det.name: BerPoint.from_counts(snr_db, det.name, bits, errors[k], num_vectors,
+                                           diverged[k])
+            for k, det in enumerate(detectors)}
 
 
 def estimate_ber(detector: Detector, dims: SystemDims, snr_db: float, num_vectors: int,
-                 rng: RngStream, channel_block: int = 1, threads: int = 1) -> BerPoint:
+                 rng: RngStream, channel_block: int = 1) -> BerPoint:
     """BER of a single detector at one SNR (see estimate_ber_paired)."""
     return estimate_ber_paired([detector], dims, snr_db, num_vectors, rng,
-                               channel_block=channel_block, threads=threads)[detector.name]
+                               channel_block=channel_block)[detector.name]
 
 
 def sweep_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_grid_db: Sequence[float],
-                     num_vectors: int, rng: RngStream, channel_block: int = 1,
-                     threads: int = 1) -> dict:
+                     num_vectors: int, rng: RngStream, channel_block: int = 1) -> dict:
     """One BerCurve per detector over an increasing SNR grid, with shared
     samples per point (independent substream per SNR point)."""
     grid = [float(s) for s in snr_grid_db]
@@ -275,17 +291,16 @@ def sweep_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_grid_d
               for det in detectors}
     for p, snr_db in enumerate(grid):
         points = estimate_ber_paired(detectors, dims, snr_db, num_vectors, rng.child(p),
-                                     channel_block=channel_block, threads=threads)
+                                     channel_block=channel_block)
         for det in detectors:
             curves[det.name].points.append(points[det.name])
     return curves
 
 
 def sweep_ber(detector: Detector, dims: SystemDims, snr_grid_db: Sequence[float],
-              num_vectors: int, rng: RngStream, channel_block: int = 1,
-              threads: int = 1) -> BerCurve:
+              num_vectors: int, rng: RngStream, channel_block: int = 1) -> BerCurve:
     return sweep_ber_paired([detector], dims, snr_grid_db, num_vectors, rng,
-                            channel_block=channel_block, threads=threads)[detector.name]
+                            channel_block=channel_block)[detector.name]
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +347,7 @@ class DiagnosticsRecord:
 
 
 def run_diagnostics(detector: Detector, dims: SystemDims, ensemble: int, noiseless: bool,
-                    rng: RngStream, snr_db: Optional[float] = None,
-                    threads: int = 1) -> DiagnosticsRecord:
+                    rng: RngStream, snr_db: Optional[float] = None) -> DiagnosticsRecord:
     """Average per-iteration G_t and bit-flip ratio over a signal ensemble.
 
     Every signal gets a fresh channel.  ``noiseless`` forces sigma_w^2 = 0;
@@ -350,7 +364,7 @@ def run_diagnostics(detector: Detector, dims: SystemDims, ensemble: int, noisele
             raise ValueError("snr_db required when not noiseless")
         noise = NoiseModel.from_snr(snr_db, dims.n)
 
-    def worker(chunk):
+    def chunk_sums(chunk):
         g_sum = None
         flip_sum = None
         for i in chunk:
@@ -364,7 +378,7 @@ def run_diagnostics(detector: Detector, dims: SystemDims, ensemble: int, noisele
             flip_sum += tr.bit_flip_ratio
         return g_sum, flip_sum
 
-    partials = _run_chunks(worker, _mc_chunks(ensemble), threads)
+    partials = [chunk_sums(chunk) for chunk in _mc_chunks(ensemble)]
     g_total = partials[0][0].copy()
     flip_total = partials[0][1].copy()
     for g_part, flip_part in partials[1:]:

@@ -24,18 +24,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .detectors import DetectorDivergenceError, ThsParams, TpgParams, lmmse_like_matrix
+from .evaluation import DETECTOR_TYPES
 from .system_model import RngStream, SystemDims, realify_channel, sample_channel, snr_to_sigma2
 
 Params = Union[ThsParams, TpgParams]
 
 BETA_FLOOR = 1e-6  # positivity floor applied after every optimizer step
+
+TRAINABLE_MODELS = ("ths", "scalable_tpg", "tpg")  # detector types with trainable parameters
 
 
 class TrainingDivergedError(Exception):
@@ -72,7 +75,7 @@ class TrainingConfig:
     init_beta: float = 1.0
     init_zeta: float = 1.0
     seed: int = 0
-    model: str = "ths"  # "ths" | "scalable_tpg" | "tpg"
+    model: str = "ths"  # one of TRAINABLE_MODELS
     init_gamma: float = 0.01
     init_theta: float = 1.0
     alpha: float = 1.0  # LMMSE-like regularizer, fixed during training
@@ -90,37 +93,17 @@ class TrainingConfig:
             raise ValueError("learning rate must be positive")
         if self.T < 1:
             raise ValueError("depth must be >= 1")
-        if self.model not in ("ths", "scalable_tpg", "tpg"):
+        if self.model not in TRAINABLE_MODELS:
             raise ValueError(f"unknown model {self.model!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "dims": {"n": self.dims.n, "m": self.dims.m},
-            "snr_schedule": list(self.snr_schedule),
-            "T": self.T,
-            "batches_per_generation": self.batches_per_generation,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "init_eta": self.init_eta,
-            "init_beta": self.init_beta,
-            "init_zeta": self.init_zeta,
-            "seed": self.seed,
-            "model": self.model,
-            "init_gamma": self.init_gamma,
-            "init_theta": self.init_theta,
-            "alpha": self.alpha,
-        }
+        return asdict(self)
 
     def initial_params(self) -> Params:
+        kind = DETECTOR_TYPES[self.model]
         if self.model == "ths":
-            return ThsParams.initial(self.T, eta=self.init_eta, beta=self.init_beta,
-                                     zeta=self.init_zeta)
-        variant = "scalable" if self.model == "scalable_tpg" else "lmmse"
-        return TpgParams.initial(self.T, gamma=self.init_gamma, theta=self.init_theta,
-                                 variant=variant, alpha=self.alpha)
+            return kind.initial(self.T, eta=self.init_eta, beta=self.init_beta, zeta=self.init_zeta)
+        return kind.initial(self.T, gamma=self.init_gamma, theta=self.init_theta, alpha=self.alpha)
 
 
 def config_fingerprint(config: TrainingConfig) -> str:

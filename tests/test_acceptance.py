@@ -309,7 +309,6 @@ def test_criterion_09_diagnostics():
 def test_criterion_10_reproducibility(tmp_path):
     cfg = {
         "seed": 31,
-        "threads": 1,
         "dims": {"n": 3, "m": 2},
         "train": {"model": "ths", "T": 2, "snr_db": 10.0, "batches_per_generation": 3,
                   "batch_size": 8, "params_out": "params.json", "log_out": "log.csv"},

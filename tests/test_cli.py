@@ -1,11 +1,24 @@
 """End-to-end CLI behavior: config handling, outputs, exit codes, determinism."""
 
+import copy
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from hsmimo.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_VALIDATION, main
+from hsmimo.cli import (
+    CONFIG_SCHEMA,
+    EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _checked,
+    main,
+)
+
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos" / "cli_configs"
 
 
 def write_config(path, payload):
@@ -17,7 +30,7 @@ def toy_train_config(tmp_path, **train_overrides):
     train = {"model": "ths", "T": 1, "snr_db": 10.0, "batches_per_generation": 3,
              "batch_size": 8, "params_out": "params.json", "log_out": "log.csv"}
     train.update(train_overrides)
-    cfg = {"seed": 31, "out_dir": str(tmp_path / "out"), "threads": 1,
+    cfg = {"seed": 31, "out_dir": str(tmp_path / "out"),
            "dims": {"n": 3, "m": 2}, "train": train}
     return write_config(tmp_path / "config.json", cfg)
 
@@ -76,7 +89,7 @@ class TestTrain:
 
 class TestEval:
     def eval_config(self, tmp_path, detectors, snr_grid=(10.0,), paired=True):
-        cfg = {"seed": 77, "out_dir": str(tmp_path / "out"), "threads": 1,
+        cfg = {"seed": 77, "out_dir": str(tmp_path / "out"),
                "dims": {"n": 3, "m": 2},
                "eval": {"snr_grid_db": list(snr_grid), "vectors_per_point": 40,
                         "paired": paired, "detectors": detectors,
@@ -131,7 +144,7 @@ class TestEval:
 
 class TestDiagnose:
     def diag_config(self, tmp_path, detectors, noiseless=True, snr_db=None):
-        cfg = {"seed": 5, "out_dir": str(tmp_path / "out"), "threads": 1,
+        cfg = {"seed": 5, "out_dir": str(tmp_path / "out"),
                "dims": {"n": 3, "m": 2},
                "diagnose": {"ensemble": 10, "noiseless": noiseless, "snr_db": snr_db,
                             "detectors": detectors, "out_stem": "diag"}}
@@ -173,3 +186,112 @@ class TestValidate:
                            {"seed": 3, "validate": {"expectation_instances": 2,
                                                     "expectation_tolerance": 1e-30}})
         assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
+
+
+def full_config(tmp_path):
+    """A config that gives every key the loader accepts, at toy sizes."""
+    traceable = [{"type": "ths", "name": "trained", "params_file": "out/p.json"},
+                 {"type": "ths", "T": 3, "eta": 0.1, "beta": 1.0, "zeta": 1.1},
+                 {"type": "hs", "T": 3, "eta": 0.1, "lambda": 1.0, "beta": 1.0},
+                 {"type": "scalable_tpg", "T": 3, "gamma": 0.05, "theta": 1.0},
+                 {"type": "tpg", "T": 3, "gamma": 0.3, "theta": 0.5, "alpha": 1.0}]
+    return {
+        "schema_version": 1, "seed": 4, "out_dir": str(tmp_path / "out"),
+        "dims": {"n": 3, "m": 2},
+        "train": {"model": "ths", "T": 1, "snr_db": [8.0, 10.0], "batches_per_generation": 2,
+                  "batch_size": 4, "learning_rate": 1e-3, "init_eta": 0.01, "init_beta": 1.0,
+                  "init_zeta": 1.0, "init_gamma": 0.01, "init_theta": 1.0, "alpha": 1.0,
+                  "params_out": "p.json", "log_out": "log.csv"},
+        "eval": {"snr_grid_db": [10.0], "vectors_per_point": 8, "channel_block": 2,
+                 "paired": True, "report_stem": "ber",
+                 "detectors": traceable + [{"type": "mmse"}, {"type": "ml"}]},
+        "diagnose": {"ensemble": 4, "noiseless": False, "snr_db": 10.0, "out_stem": "diag",
+                     "detectors": copy.deepcopy(traceable)},
+        "validate": {"a_values": [1.0], "x_values": [0.5], "identity_tolerance": 1e-8,
+                     "expectation_instances": 2, "expectation_dims": {"n": 2, "m": 2},
+                     "expectation_beta_range": [0.5, 1.0], "expectation_tolerance": 1e-10},
+    }
+
+
+def key_parts(path):
+    """["eval", "detectors", 1, "T"] for "eval.detectors[1].T"."""
+    return [int(p) if p.isdigit() else p for p in re.findall(r"[^.\[\]]+", path)]
+
+
+def edited(cfg, path, value=None):
+    """A copy of cfg with the key at ``path`` set to value, or removed when value is None."""
+    cfg = copy.deepcopy(cfg)
+    *parents, last = key_parts(path)
+    node = cfg
+    for part in parents:
+        node = node[part]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+def schema_paths(spec, prefix=""):
+    """Key paths of a printed schema, with "[]" standing for any array index."""
+    paths = set().union(*(schema_paths(branch, prefix) for branch in spec.get("oneOf", [])))
+    for key, sub in spec.get("properties", {}).items():
+        paths |= {prefix + key} | schema_paths(sub, f"{prefix}{key}.")
+        paths |= schema_paths(sub.get("items", {}), f"{prefix}{key}[].")
+    return paths
+
+
+def config_paths(value, prefix=""):
+    """Key paths of a config, in the notation of schema_paths."""
+    if isinstance(value, list):
+        return set().union(*(config_paths(item, prefix[:-1] + "[].") for item in value))
+    if not isinstance(value, dict):
+        return set()
+    return set().union(*({prefix + key} | config_paths(sub, f"{prefix}{key}.")
+                         for key, sub in value.items()))
+
+
+class TestStrictConfig:
+    def test_every_accepted_key_is_in_the_schema_and_back(self, tmp_path, capsys):
+        cfg = full_config(tmp_path)
+        path = write_config(tmp_path / "full.json", cfg)
+        for command in ("train", "eval", "diagnose", "validate"):
+            assert main([command, "--config", path]) == EXIT_OK, command
+        capsys.readouterr()
+        assert main(["--print-schema"]) == EXIT_OK
+        assert schema_paths(json.loads(capsys.readouterr().out)) == config_paths(cfg)
+
+    @pytest.mark.parametrize("path", [
+        "threads", "dims.k", "train.init_eta_", "eval.vectors_per_pont",
+        "eval.detectors[2].lamda", "diagnose.esemble", "diagnose.detectors[4].zeta_",
+        "validate.a_value", "validate.expectation_dims.l"])
+    def test_unknown_key_is_rejected_with_its_path(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path / "c.json", edited(full_config(tmp_path), path, 1))
+        assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        assert f"config error: {path}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, path, value, named", [
+        ("eval", "eval.vectors_per_point", 0, "eval.vectors_per_point"),
+        ("eval", "eval.channel_block", 0, "eval.channel_block"),
+        ("train", "train.T", 0, "train.T"),
+        ("diagnose", "diagnose.ensemble", 0, "diagnose.ensemble"),
+        ("validate", "validate.expectation_dims.m", None, "validate.expectation_dims.m"),
+        ("validate", "validate.expectation_beta_range", [0.1, 1.0, 5.0],
+         "validate.expectation_beta_range"),
+        ("eval", "eval.snr_grid_db", [10.0, 5.0], "eval.snr_grid_db"),
+        ("eval", "eval.report_stem", {"name": "ber"}, "eval.report_stem"),
+        ("eval", "eval.detectors[2].zeta", 1.0, "eval.detectors[2].zeta"),
+        ("eval", "eval.detectors[0].T", 3, "eval.detectors[0]"),
+        ("eval", "eval.detectors[2].lambda", 0.0, "eval.detectors[2]"),
+    ])
+    def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, path, value,
+                                              named):
+        valid = write_config(tmp_path / "valid.json", full_config(tmp_path))
+        assert main(["train", "--config", valid]) == EXIT_OK  # the trained detector's file
+        cfg = write_config(tmp_path / "c.json", edited(full_config(tmp_path), path, value))
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert f"config error: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("demo", sorted(DEMO_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_demo_configs_load(self, demo):
+        _checked(json.loads(demo.read_text()), CONFIG_SCHEMA, "")  # raises ConfigError if not

@@ -115,14 +115,6 @@ class TestBatchedEstimate:
             np.testing.assert_array_equal(X[:, j], sample.x)
             np.testing.assert_array_equal(Y[:, j], sample.y)
 
-    def test_thread_count_does_not_change_blocked_counts(self):
-        dims = SystemDims(6, 4)
-        a = estimate_ber_paired(five_detectors(), dims, 8.0, 300, RngStream(32),
-                                channel_block=100, threads=1)
-        b = estimate_ber_paired(five_detectors(), dims, 8.0, 300, RngStream(32),
-                                channel_block=100, threads=4)
-        assert a == b
-
     def test_one_diverging_column_counts_one_vector(self):
         # a huge step overflows only on the column whose observation is huge:
         # the first vector of the single 40-vector batch
@@ -178,11 +170,6 @@ class TestEstimateBer:
     def test_reproducible_bit_exact(self):
         a = estimate_ber(make_mmse_detector(), SystemDims(3, 2), 10.0, 500, RngStream(3))
         b = estimate_ber(make_mmse_detector(), SystemDims(3, 2), 10.0, 500, RngStream(3))
-        assert a == b
-
-    def test_thread_count_does_not_change_counts(self):
-        a = estimate_ber(make_mmse_detector(), SystemDims(3, 2), 10.0, 400, RngStream(4), threads=1)
-        b = estimate_ber(make_mmse_detector(), SystemDims(3, 2), 10.0, 400, RngStream(4), threads=8)
         assert a == b
 
     def test_paired_detectors_see_identical_samples(self):
@@ -288,13 +275,6 @@ class TestDiagnosticsOps:
     def test_untraceable_detector_rejected(self):
         with pytest.raises(ValueError):
             run_diagnostics(make_mmse_detector(), SystemDims(2, 2), 2, True, RngStream(0))
-
-    def test_thread_invariant_means(self):
-        dims = SystemDims(3, 2)
-        det = make_ths_detector(ThsParams.initial(4, eta=0.1, zeta=1.1))
-        a = run_diagnostics(det, dims, 200, True, RngStream(15), threads=1)
-        b = run_diagnostics(det, dims, 200, True, RngStream(15), threads=5)
-        np.testing.assert_array_equal(a.mean_gradient_amplitude, b.mean_gradient_amplitude)
 
 
 class TestHsIdentity:

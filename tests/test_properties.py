@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmimo.detectors import ThsParams, TpgParams, ths_detect
-from hsmimo.evaluation import BerCurve, BerPoint, read_report, write_report
+from hsmimo.evaluation import (
+    DETECTOR_TYPES,
+    BerCurve,
+    BerPoint,
+    make_detector,
+    read_report,
+    write_report,
+)
 from hsmimo.system_model import (
     RngStream,
     SystemDims,
@@ -151,3 +158,34 @@ def test_tpg_backward_matches_finite_differences_for_negative_theta(batch):
     grads_m = backward_gradients(acts_m, mirrored, x)
     np.testing.assert_array_equal(grads_m.d_theta, -bp[T:])
     np.testing.assert_array_equal(grads_m.d_gamma, bp[:T])
+
+
+# Per-iteration constants large enough that T <= 10 layers leave the linear regime.
+PERMUTATION_CONSTANTS = {"ths": {"eta": 0.1, "zeta": 1.05}, "hs": {"eta": 0.1},
+                         "scalable_tpg": {"gamma": 0.1}, "tpg": {"gamma": 0.5, "theta": 0.5},
+                         "mmse": None}
+
+
+@st.composite
+def permuted_systems(draw):
+    """A small noisy system (H, y), a permutation of the columns of H and a depth."""
+    dims = SystemDims(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    stream = RngStream(draw(st.integers(0, 2 ** 32 - 1)))
+    H = realify_channel(sample_channel(dims, stream.child(0)))
+    w = stream.child(2).generator().standard_normal(dims.M)
+    y = H @ sample_signal(dims, stream.child(1)) + 0.3 * w
+    perm = np.array(draw(st.permutations(range(dims.N))))
+    return H, y, perm, draw(st.integers(1, 10))
+
+
+@SMALL
+@given(permuted_systems(), st.sampled_from(sorted(PERMUTATION_CONSTANTS)))
+def test_detectors_are_equivariant_under_column_permutation(system, kind):
+    # relabelling the transmit streams relabels the estimates; the matmul
+    # summation order changes with it, so equality holds to rounding only
+    H, y, perm, T = system
+    constants = PERMUTATION_CONSTANTS[kind]
+    params = None if constants is None else DETECTOR_TYPES[kind].initial(T, **constants)
+    detector = make_detector(kind, params)
+    np.testing.assert_allclose(detector.run(H[:, perm], y, 0.1).soft,
+                               detector.run(H, y, 0.1).soft[perm], rtol=1e-9, atol=1e-12)

@@ -416,3 +416,11 @@ class TestPersistence:
         c = TrainingConfig(dims=SystemDims(4, 3), seed=2)
         assert config_fingerprint(a) == config_fingerprint(b)
         assert config_fingerprint(a) != config_fingerprint(c)
+
+    def test_fingerprint_is_pinned(self):
+        # the benchmark's trained-parameter fixtures are keyed by this hash: a
+        # changed field, default or serialisation must not re-key them silently
+        config = TrainingConfig(dims=SystemDims(50, 32), snr_schedule=(20.0,), T=30,
+                                batches_per_generation=200, batch_size=200,
+                                learning_rate=2e-4, seed=2024, model="ths")
+        assert config_fingerprint(config) == "d95df3e7d1b7d3e2"
