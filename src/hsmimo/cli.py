@@ -15,6 +15,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -30,7 +31,6 @@ from .evaluation import (
     brute_force_expectation,
     make_detector,
     run_diagnostics,
-    sweep_ber,
     sweep_ber_paired,
     verify_hs_identity,
     write_diagnostics,
@@ -145,7 +145,6 @@ CONFIG_SCHEMA = {
             "snr_grid_db": _numbers(minItems=1),
             "vectors_per_point": _count(default=1000),
             "channel_block": _count(default=1),
-            "paired": {"type": "boolean", "default": True},
             "detectors": {"type": "array", "items": _DETECTOR, "minItems": 1},
             "report_stem": {"type": "string", "default": "ber_report"},
         }, required=["snr_grid_db", "detectors"]),
@@ -153,7 +152,7 @@ CONFIG_SCHEMA = {
             "ensemble": _count(default=1000),
             "noiseless": {"type": "boolean", "default": True},
             "snr_db": {"type": ["number", "null"], "default": None},
-            "detectors": {"type": "array", "items": _DETECTOR},
+            "detectors": {"type": "array", "items": _DETECTOR, "minItems": 1},
             "out_stem": {"type": "string", "default": "diagnostics"},
         }, required=["detectors"]),
         "validate": _object({
@@ -198,7 +197,7 @@ def _checked(value, spec: dict, path: str):
         return {key: _checked(value[key] if key in value else sub["default"], sub, prefix + key)
                 for key, sub in properties.items() if key in value or "default" in sub}
     if isinstance(value, list) and "array" in types:
-        lo, hi = spec.get("minItems", 0), spec.get("maxItems", len(value))
+        lo, hi = spec.get("minItems", 0), spec.get("maxItems", math.inf)
         if not lo <= len(value) <= hi:
             raise ConfigError(f"{path}: takes {lo}..{hi} items, got {len(value)}")
         return [_checked(item, spec["items"], f"{path}[{i}]") for i, item in enumerate(value)]
@@ -280,7 +279,7 @@ def cmd_train(cfg: dict, config_dir: Path) -> int:
         tc = TrainingConfig(dims=dims, snr_schedule=train["snr_db"], seed=cfg["seed"],
                             **field_values)
     except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
+        raise ConfigError(f"train.{exc}") from exc
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     params_path = out_dir / train.get("params_out", f"{tc.model}_params.json")
@@ -316,14 +315,8 @@ def cmd_eval(cfg: dict, config_dir: Path) -> int:
     grid, vectors = section["snr_grid_db"], section["vectors_per_point"]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"eval.snr_grid_db: must be strictly increasing, got {grid}")
-    rng = RngStream(cfg["seed"])
-    if section["paired"]:
-        curves = sweep_ber_paired(detectors, dims, grid, vectors, rng,
-                                  channel_block=section["channel_block"])
-    else:
-        curves = {det.name: sweep_ber(det, dims, grid, vectors, rng.child(k),
-                                      channel_block=section["channel_block"])
-                  for k, det in enumerate(detectors)}
+    curves = sweep_ber_paired(detectors, dims, grid, vectors, RngStream(cfg["seed"]),
+                              channel_block=section["channel_block"])
     stem = Path(cfg["out_dir"]) / section["report_stem"]
     csv_path, json_path = write_report([curves[n] for n in names], stem)
     for name in names:

@@ -15,6 +15,10 @@ Implemented detectors:
 
 All iterative detectors start from the zero state and return soft outputs
 in (-1, 1)^N plus the sign-thresholded hard decision (sign(0) := +1).
+Their recursions are one layer loop, ``unroll_layers``, which detection,
+tracing and training (``hsmimo.unfolding``) share.  Detection feeds it the
+residual form A (y - H s), training the Gram form c - P s; a traced run
+and training keep every layer's states, plain detection only the last.
 Every detector but the ML oracle also takes a batch of observations as the
 columns of y (M, B) and returns (N, B) outputs, with the matrix products of
 all columns done at once; divergence is then reported per column.
@@ -23,7 +27,7 @@ all columns done at once; divergence is then reported per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -248,26 +252,6 @@ def sign_flips(s_prev, s_next) -> np.ndarray:
     return (np.asarray(s_prev) >= 0) != (np.asarray(s_next) >= 0)
 
 
-class _TraceRecorder:
-    """Keeps the (p_t, s_t) states of a run; the diagnostics are derived
-    from them once, in build()."""
-
-    def __init__(self, H, y, T, N):
-        self.H, self.y = H, y
-        self.u = np.zeros((T + 1, N))
-        self.s = np.zeros((T + 1, N))
-
-    def record(self, t, u, s):
-        self.u[t] = u
-        self.s[t] = s
-
-    def build(self) -> DetectorTrace:
-        S = self.s
-        return DetectorTrace(u=self.u, s=S,
-                             gradient_amplitude=gradient_amplitudes(self.H, self.y, S),
-                             bit_flip_ratio=np.mean(sign_flips(S[:-1], S[1:]), axis=1))
-
-
 def ths_step(u, s, H, y, beta_t: float, eta_t: float, zeta_t: float):
     """One trainable-HS update.
 
@@ -284,85 +268,117 @@ def ths_step(u, s, H, y, beta_t: float, eta_t: float, zeta_t: float):
     return u_next, s_next
 
 
-def _unroll(H, A, y, params, trace: bool, name: str) -> DetectionResult:
-    """Shared in-place loop of the iterative detectors, from the zero state.
+def unroll_layers(params, depth: int, p: np.ndarray, s: np.ndarray,
+                  residual: Callable[[np.ndarray, int], np.ndarray], name: str,
+                  diverged: Optional[np.ndarray] = None) -> None:
+    """The one layer loop of the iterative detectors, shared by detection,
+    tracing and training.
 
-    Each layer forms the residual step g = A (y - H s_t), with A = H^T for
-    THS/HS and scalable TPG and A = W for LMMSE TPG, and then updates
+    Runs layers t = 0..depth-1 of the THS recursion (``params`` a ThsParams)
 
-    * THS (``params`` a ThsParams): p_{t+1} = zeta_t p_t + eta_t g,
-      s_{t+1} = tanh(beta_t p_{t+1});
-    * TPG (``params`` a TpgParams): p_{t+1} = s_t + gamma_t g,
-      s_{t+1} = tanh(p_{t+1} / |theta_t|).
+        p_{t+1} = zeta_t p_t + eta_t g_t,   s_{t+1} = tanh(beta_t p_{t+1})
 
-    Soft output is the last s; the trace's u-slots hold the p_t.  Every
-    step writes into buffers allocated once per call, shaped like y with N
-    rows, so a layer allocates nothing; the buffers span the trailing
-    (N,) or (N, B) axes.
+    or of the TPG recursion (``params`` a TpgParams)
 
-    ``y`` is one observation (M,) or a batch of columns (M, B).  A
-    non-finite p raises DetectorDivergenceError for a single vector; in a
-    batch it marks the offending columns diverged and restarts them from
-    zero, so that later iterations stay finite.  Columns never mix, so the
-    other columns are unaffected.
+        p_{t+1} = s_t + gamma_t g_t,        s_{t+1} = tanh(p_{t+1} / |theta_t|),
+
+    where g_t = residual(s_t, t) is the layer's residual step, returned in a
+    buffer the loop may overwrite.  Detection passes the residual form
+    A (y - H s_t), training the Gram form c - P s_t.
+
+    ``p`` and ``s`` are stacks of R rows, row 0 holding the initial state.
+    Layer t reads row t % R and writes row (t+1) % R, so R = depth+1 keeps
+    every state (training's activations, a traced run's states) and R = 1
+    updates one row in place.  A row spans the trailing (N,) or (N, B)
+    axes; every step writes into the rows or the residual buffer, so a
+    layer allocates nothing.
+
+    A non-finite p_{t+1} raises DetectorDivergenceError(name, t) when
+    ``diverged`` is None.  Otherwise the offending columns are flagged in
+    ``diverged`` (one flag per column) and restarted from zero, so that
+    later layers stay finite.  Columns never mix, so the other columns are
+    unaffected.
     """
-    if trace and y.ndim != 1:
-        raise ValueError("trace=True needs a single observation vector, not a batch")
     ths = isinstance(params, ThsParams)
     if ths:
         zeta, eta, beta = params.zeta.tolist(), params.eta.tolist(), params.beta.tolist()
     else:
         gamma, theta = params.gamma.tolist(), [abs(v) for v in params.theta.tolist()]
-    T, N = params.T, H.shape[-1]
-    batch = y.ndim > 1
-    # y's shape with N rows in place of M, and one divergence flag per column
-    p = np.zeros(y.shape[:-2] + (N,) + y.shape[-1:] if batch else (N,))
-    diverged = np.zeros(y.shape[:-2] + y.shape[-1:] if batch else (), dtype=bool)
-    s = np.zeros_like(p)
-    g = np.empty_like(p)
-    r = np.empty_like(y)  # y - H s
-    finite = np.empty(p.shape, dtype=bool)
-    rec = _TraceRecorder(H, y, T, N) if trace else None
+    R = len(p)
+    p_rows, s_rows = list(p), list(s)
+    finite = np.empty(p_rows[0].shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # guarded explicitly below
-        for t in range(T):
-            np.matmul(H, s, out=r)
-            np.subtract(y, r, out=r)
-            np.matmul(A, r, out=g)
+        for t in range(depth):
+            p_t, s_t = p_rows[t % R], s_rows[t % R]
+            p_next, s_next = p_rows[(t + 1) % R], s_rows[(t + 1) % R]
+            g = residual(s_t, t)
             if ths:
-                np.multiply(p, zeta[t], out=p)
+                np.multiply(p_t, zeta[t], out=p_next)
                 np.multiply(g, eta[t], out=g)
-                np.add(p, g, out=p)
+                np.add(p_next, g, out=p_next)
             else:
                 np.multiply(g, gamma[t], out=g)
-                np.add(s, g, out=p)
-            if not np.isfinite(p, out=finite).all():
-                if not batch:
+                np.add(s_t, g, out=p_next)
+            if not np.isfinite(p_next, out=finite).all():
+                if diverged is None:
                     raise DetectorDivergenceError(name, t)
                 bad = ~finite.all(axis=-2)
                 diverged |= bad
-                np.copyto(p, 0.0, where=bad[..., None, :])
+                np.copyto(p_next, 0.0, where=bad[..., None, :])
             if ths:
-                np.multiply(p, beta[t], out=s)
+                np.multiply(p_next, beta[t], out=s_next)
             else:
-                np.divide(p, theta[t], out=s)
-            np.tanh(s, out=s)
-            if rec is not None:
-                rec.record(t + 1, p, s)
-    hard = hard_decision(s)
-    if diverged.any():
-        np.copyto(s, np.nan, where=diverged[..., None, :])
+                np.divide(p_next, theta[t], out=s_next)
+            np.tanh(s_next, out=s_next)
+
+
+def _detect(H, A, y, params, trace: bool, name: str) -> DetectionResult:
+    """Detection from the zero state through unroll_layers, in residual form
+    g_t = A (y - H s_t), with A = H^T for THS/HS and scalable TPG and A = W
+    for LMMSE TPG.
+
+    ``y`` is one observation (M,) or a batch of columns (M, B).  A single
+    vector raises DetectorDivergenceError on a non-finite state; a batch
+    marks the offending columns diverged, with NaN outputs.  A traced run
+    keeps all T+1 states, the trace's u-slots holding the p_t, and derives
+    G_t and the flip ratios from them once the run ends.
+    """
+    if trace and y.ndim != 1:
+        raise ValueError("trace=True needs a single observation vector, not a batch")
+    batch = y.ndim > 1
+    # y's shape with N rows in place of M, and one divergence flag per column
+    row = y.shape[:-2] + (H.shape[-1],) + y.shape[-1:] if batch else (H.shape[-1],)
+    p = np.zeros((params.T + 1 if trace else 1,) + row)
+    s = np.zeros_like(p)
+    g = np.empty(row)
+    r = np.empty_like(y)  # y - H s
+    diverged = np.zeros(y.shape[:-2] + y.shape[-1:], dtype=bool) if batch else None
+
+    def residual(s_t, t):
+        np.matmul(H, s_t, out=r)
+        np.subtract(y, r, out=r)
+        return np.matmul(A, r, out=g)
+
+    unroll_layers(params, params.T, p, s, residual, name, diverged)
+    soft = s[-1]
+    hard = hard_decision(soft)
+    if batch and diverged.any():
+        np.copyto(soft, np.nan, where=diverged[..., None, :])
         np.copyto(hard, np.nan, where=diverged[..., None, :])
-    return DetectionResult(soft=s, hard=hard, diverged=diverged,
-                           trace=rec.build() if rec is not None else None)
+    result = DetectionResult(soft=soft, hard=hard, diverged=diverged)
+    if trace:
+        result.trace = DetectorTrace(u=p, s=s, gradient_amplitude=gradient_amplitudes(H, y, s),
+                                     bit_flip_ratio=np.mean(sign_flips(s[:-1], s[1:]), axis=1))
+    return result
 
 
 def ths_detect(H, y, params: ThsParams, trace: bool = False) -> DetectionResult:
     """Run the trainable HS detector for params.T iterations from the zero state.
 
-    ``y`` is one observation (M,) or a batch of columns (M, B) (see _unroll).
+    ``y`` is one observation (M,) or a batch of columns (M, B) (see _detect).
     """
     H, y, M, N = _check_system(H, y)
-    return _unroll(H, H.T, y, params, trace, "ths")
+    return _detect(H, H.T, y, params, trace, "ths")
 
 
 def hs_detect(H, y, params: HsParams, trace: bool = False) -> DetectionResult:
@@ -375,7 +391,7 @@ def hs_detect(H, y, params: HsParams, trace: bool = False) -> DetectionResult:
     the same arithmetic, so the two agree exactly.
     """
     H, y, M, N = _check_system(H, y)
-    return _unroll(H, H.T, y, params.as_ths(), trace, "hs")
+    return _detect(H, H.T, y, params.as_ths(), trace, "hs")
 
 
 def scalable_tpg_detect(H, y, params: TpgParams, trace: bool = False) -> DetectionResult:
@@ -383,7 +399,7 @@ def scalable_tpg_detect(H, y, params: TpgParams, trace: bool = False) -> Detecti
     if params.variant != "scalable":
         raise ValueError(f"expected scalable variant, got {params.variant!r}")
     H, y, M, N = _check_system(H, y)
-    return _unroll(H, H.T, y, params, trace, "scalable_tpg")
+    return _detect(H, H.T, y, params, trace, "scalable_tpg")
 
 
 def lmmse_like_matrix(H: np.ndarray, alpha: float) -> np.ndarray:
@@ -408,7 +424,7 @@ def tpg_detect(H, y, sigma2: float, params: TpgParams, trace: bool = False) -> D
         raise ValueError(f"expected lmmse variant, got {params.variant!r}")
     H, y, M, N = _check_system(H, y)
     W = lmmse_like_matrix(H, params.alpha)
-    return _unroll(H, W, y, params, trace, "tpg")
+    return _detect(H, W, y, params, trace, "tpg")
 
 
 def mmse_detect(H, y, sigma2: float) -> DetectionResult:

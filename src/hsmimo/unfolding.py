@@ -2,7 +2,10 @@
 
 The unrolled detector recursions are differentiated by hand: the only
 trainable quantities are the O(T) per-iteration scalars, so the backward
-pass is a short chain of matrix products mirroring the forward pass.
+pass is a short chain of matrix products mirroring the forward pass.  The
+forward pass is the detectors' own layer loop, ``detectors.unroll_layers``,
+so training and detection apply the same layer update; training keeps
+every layer's states and feeds the loop the Gram-form residual below.
 Training uses supervised (x, y) mini-batches with a fresh channel per
 mini-batch, the MSE loss N^{-1} ||s_out - x||^2 averaged over the batch,
 a from-scratch Adam optimizer, and incremental (generation-wise) deepening
@@ -30,7 +33,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .detectors import DetectorDivergenceError, ThsParams, TpgParams, lmmse_like_matrix
+from .detectors import (DetectorDivergenceError, ThsParams, TpgParams, lmmse_like_matrix,
+                        unroll_layers)
 from .evaluation import DETECTOR_TYPES
 from .system_model import RngStream, SystemDims, realify_channel, sample_channel, snr_to_sigma2
 
@@ -85,16 +89,22 @@ class TrainingConfig:
             self.snr_schedule = (float(self.snr_schedule),)
         else:
             self.snr_schedule = tuple(float(s) for s in self.snr_schedule)
+        # each message starts with its field, which cmd_train prefixes with "train."
         if not self.snr_schedule:
-            raise ValueError("snr_schedule must not be empty")
-        if self.batch_size < 1 or self.batches_per_generation < 1:
-            raise ValueError("batch sizes must be >= 1")
+            raise ValueError("snr_schedule: must not be empty")
+        for name in ("T", "batches_per_generation", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.T < 1:
-            raise ValueError("depth must be >= 1")
+            raise ValueError(f"learning_rate: must be positive, got {self.learning_rate}")
         if self.model not in TRAINABLE_MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+            raise ValueError(f"model: expected one of {list(TRAINABLE_MODELS)}, got {self.model!r}")
+        if not self.init_beta > 0:  # THS inverse temperature
+            raise ValueError(f"init_beta: must be positive, got {self.init_beta}")
+        if self.init_theta == 0:  # TPG projection divides by |theta|
+            raise ValueError(f"init_theta: must be nonzero, got {self.init_theta}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha: must be finite and >= 0, got {self.alpha}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -159,13 +169,13 @@ def _flatten_grads(grads) -> np.ndarray:
 class TrainingWorkspace:
     """Buffers of the unrolled passes, allocated once and reused.
 
-    ``rows`` holds the two (T+1, N, B) activation stacks (THS: u and s;
-    TPG: s and the pre-projection points r); ``scratch`` the (N, B) arrays
-    of one forward/backward pair: c = A y, the layer residual, and the
-    backward pass's ds, w and du.  A forward of depth d writes the views
-    [:d+1], so its activations stay valid until the next forward on the
-    same workspace.  Training allocates one workspace per run, 2 (T+1) N B
-    + 5 N B doubles, instead of fresh activations per mini-batch.
+    ``rows`` holds the two (T+1, N, B) state stacks p and s of
+    unroll_layers; ``scratch`` the (N, B) arrays of one forward/backward
+    pair: c = A y, the layer residual, and the backward pass's ds, w and
+    du.  A forward of depth d writes the views [:d+1], so its activations
+    stay valid until the next forward on the same workspace.  Training
+    allocates one workspace per run, 2 (T+1) N B + 5 N B doubles, instead
+    of fresh activations per mini-batch.
     """
 
     rows: np.ndarray  # (2, T+1, N, B)
@@ -177,28 +187,21 @@ class TrainingWorkspace:
 
 
 @dataclass
-class ThsActivations:
-    """Saved forward states of the unrolled THS recursion (batch columns)."""
+class Activations:
+    """Saved forward states of the unrolled recursion (batch columns).
 
-    u: np.ndarray  # (depth+1, N, B)
+    Row t of ``p`` and ``s`` is the state after t layers of unroll_layers,
+    row 0 the zero start: ``p`` holds THS's dual states u_t, or TPG's
+    pre-projection points.
+    """
+
+    p: np.ndarray  # (depth+1, N, B)
     s: np.ndarray  # (depth+1, N, B)
-    c: np.ndarray  # (N, B), H^T y; the layer residual is g_t = c - P s_t
+    c: np.ndarray  # (N, B), A y; the layer residual is c - P s_t
     H: np.ndarray
-    P: np.ndarray  # (N, N) Gram matrix H^T H
+    P: np.ndarray  # (N, N) Gram product A H
     depth: int
     workspace: TrainingWorkspace  # owner of the arrays above and of the backward scratch
-
-
-@dataclass
-class TpgActivations:
-    s: np.ndarray  # (depth+1, N, B)
-    r: np.ndarray  # (depth, N, B), pre-projection search points
-    c: np.ndarray  # (N, B), W y; the layer residual is q_t = c - P s_t
-    H: np.ndarray
-    W: np.ndarray
-    P: np.ndarray  # (N, N) product W H
-    depth: int
-    workspace: TrainingWorkspace
 
 
 def _mse_loss(s_out: np.ndarray, x: np.ndarray, scratch: np.ndarray) -> float:
@@ -216,15 +219,17 @@ def forward_unrolled(H, y, x, params: Params, depth_used: int,
     the MSE loss (normalized by N and batch size) and the retained
     activations for the backward pass.
 
-    Gram form: with A = H^T (THS, scalable TPG) or A = W (LMMSE TPG), the
-    layer residual A (y - H s_t) is computed as c - P s_t from P = A H and
-    c = A y, formed once per call.  Each layer is then one N x N x B
-    product instead of two M x N x B products, cheaper when n < 2m.
-    Every elementwise step writes into the activation rows or the scratch
-    of ``workspace``; without one, the call allocates its own, so its
-    activations survive later calls.  The residuals themselves are not
-    kept: the backward pass recovers their inner products from c, s_t and
-    the P^T products it forms anyway.
+    The layers run through ``detectors.unroll_layers``, the loop detection
+    uses, keeping all depth_used+1 state rows, in Gram form: with A = H^T
+    (THS, scalable TPG) or A = W (LMMSE TPG), the layer residual
+    A (y - H s_t) is computed as c - P s_t from P = A H and c = A y, formed
+    once per call.  Each layer is then one N x N x B product instead of
+    two M x N x B products, cheaper when n < 2m.  Every elementwise step
+    writes into the state rows or the scratch of ``workspace``; without
+    one, the call allocates its own, so its activations survive later
+    calls.  The residuals themselves are not kept: the backward pass
+    recovers their inner products from c, s_t and the P^T products it
+    forms anyway.
     """
     if not (1 <= depth_used <= params.T):
         raise ValueError(f"depth_used must be in [1, {params.T}], got {depth_used}")
@@ -240,53 +245,29 @@ def forward_unrolled(H, y, x, params: Params, depth_used: int,
         raise ValueError(f"workspace {ws.rows.shape} cannot hold depth {depth_used} "
                          f"of an ({N}, {B}) batch")
     c, g, loss_scratch = ws.scratch[:3]  # g: the layer residual c - P s_t
-
     if isinstance(params, ThsParams):
-        P = H.T @ H
-        np.matmul(H.T, y, out=c)
-        u = ws.rows[0, :depth_used + 1]
-        s = ws.rows[1, :depth_used + 1]
-        u[0] = 0.0
-        s[0] = 0.0
-        np.copyto(g, c)  # g_0 = c since s_0 = 0
-        with np.errstate(over="ignore", invalid="ignore"):  # guarded explicitly below
-            for t in range(depth_used):
-                if t > 0:
-                    np.matmul(P, s[t], out=g)
-                    np.subtract(c, g, out=g)
-                np.multiply(u[t], params.zeta[t], out=u[t + 1])
-                np.multiply(g, params.eta[t], out=s[t + 1])  # s[t+1] as scratch
-                np.add(u[t + 1], s[t + 1], out=u[t + 1])
-                if not np.all(np.isfinite(u[t + 1])):
-                    raise DetectorDivergenceError("ths", t)
-                np.multiply(u[t + 1], params.beta[t], out=s[t + 1])
-                np.tanh(s[t + 1], out=s[t + 1])
-        acts = ThsActivations(u=u, s=s, c=c, H=H, P=P, depth=depth_used, workspace=ws)
-        return _mse_loss(s[depth_used], x, loss_scratch), acts
-
-    if params.variant == "scalable":
-        W, name = H.T, "scalable_tpg"
+        A, name = H.T, "ths"
+    elif params.variant == "scalable":
+        A, name = H.T, "scalable_tpg"
     else:
-        W, name = lmmse_like_matrix(H, params.alpha), "tpg"
-    P = W @ H
-    np.matmul(W, y, out=c)
-    s = ws.rows[0, :depth_used + 1]
-    r = ws.rows[1, :depth_used]
+        A, name = lmmse_like_matrix(H, params.alpha), "tpg"
+    P = A @ H
+    np.matmul(A, y, out=c)
+    p = ws.rows[0, :depth_used + 1]
+    s = ws.rows[1, :depth_used + 1]
+    p[0] = 0.0
     s[0] = 0.0
-    q = g
-    np.copyto(q, c)  # q_0 = c since s_0 = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(depth_used):
-            if t > 0:
-                np.matmul(P, s[t], out=q)
-                np.subtract(c, q, out=q)
-            np.multiply(q, params.gamma[t], out=r[t])
-            np.add(s[t], r[t], out=r[t])
-            if not np.all(np.isfinite(r[t])):
-                raise DetectorDivergenceError(name, t)
-            np.divide(r[t], abs(params.theta[t]), out=s[t + 1])
-            np.tanh(s[t + 1], out=s[t + 1])
-    acts = TpgActivations(s=s, r=r, c=c, H=H, W=W, P=P, depth=depth_used, workspace=ws)
+
+    def residual(s_t, t):  # c - P s_t, which is c at layer 0 since s_0 = 0
+        if t == 0:
+            np.copyto(g, c)
+        else:
+            np.matmul(P, s_t, out=g)
+            np.subtract(c, g, out=g)
+        return g
+
+    unroll_layers(params, depth_used, p, s, residual, name)
+    acts = Activations(p=p, s=s, c=c, H=H, P=P, depth=depth_used, workspace=ws)
     return _mse_loss(s[depth_used], x, loss_scratch), acts
 
 
@@ -308,21 +289,21 @@ def backward_gradients(acts, params: Params, x) -> Union[ThsGradient, TpgGradien
     np.multiply(ds, 2.0, out=ds)
     np.divide(ds, N * B, out=ds)
 
-    if isinstance(acts, ThsActivations):
+    if isinstance(params, ThsParams):
         d_beta = np.zeros(params.T)
         d_eta = np.zeros(params.T)
         d_zeta = np.zeros(params.T)
         du.fill(0.0)  # carries zeta_t du_{t+1} into layer t
         for t in range(d, 0, -1):
-            # s_t = tanh(beta_{t-1} u_t)
+            # s_t = tanh(beta_{t-1} p_t)
             np.multiply(acts.s[t], acts.s[t], out=w)
             np.subtract(1.0, w, out=w)
             np.multiply(ds, w, out=w)
-            d_beta[t - 1] = np.vdot(w, acts.u[t])
+            d_beta[t - 1] = np.vdot(w, acts.p[t])
             np.multiply(w, params.beta[t - 1], out=w)
             np.add(du, w, out=du)
-            # u_t = zeta_{t-1} u_{t-1} + eta_{t-1} g_{t-1}
-            d_zeta[t - 1] = np.vdot(du, acts.u[t - 1])
+            # p_t = zeta_{t-1} p_{t-1} + eta_{t-1} g_{t-1}
+            d_zeta[t - 1] = np.vdot(du, acts.p[t - 1])
             # g_{t-1} = c - P s_{t-1}: <du, g_{t-1}> = <du, c> - <P^T du, s_{t-1}>
             d_eta[t - 1] = np.vdot(du, acts.c)
             if t > 1:  # s_0 = 0 is a constant: no P^T du term, no adjoint needed
@@ -335,13 +316,13 @@ def backward_gradients(acts, params: Params, x) -> Union[ThsGradient, TpgGradien
     d_gamma = np.zeros(params.T)
     d_theta = np.zeros(params.T)
     for t in range(d - 1, -1, -1):
-        # s_{t+1} = tanh(r_t / |theta_t|)
+        # s_{t+1} = tanh(p_{t+1} / |theta_t|)
         np.multiply(acts.s[t + 1], acts.s[t + 1], out=w)
         np.subtract(1.0, w, out=w)
         np.multiply(ds, w, out=w)
-        d_theta[t] = np.vdot(w, acts.r[t]) * (-np.sign(params.theta[t]) / params.theta[t] ** 2)
-        np.multiply(w, 1.0 / abs(params.theta[t]), out=w)  # w is now dr_t
-        # r_t = s_t + gamma_t q_t, q_t = c - P s_t: <dr, q_t> = <dr, c> - <P^T dr, s_t>
+        d_theta[t] = np.vdot(w, acts.p[t + 1]) * (-np.sign(params.theta[t]) / params.theta[t] ** 2)
+        np.multiply(w, 1.0 / abs(params.theta[t]), out=w)  # w is now dp_{t+1}
+        # p_{t+1} = s_t + gamma_t g_t, g_t = c - P s_t: <dp, g_t> = <dp, c> - <P^T dp, s_t>
         d_gamma[t] = np.vdot(w, acts.c)
         if t > 0:
             np.matmul(PT, w, out=ds)

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -88,11 +89,11 @@ class TestTrain:
 
 
 class TestEval:
-    def eval_config(self, tmp_path, detectors, snr_grid=(10.0,), paired=True):
+    def eval_config(self, tmp_path, detectors, snr_grid=(10.0,)):
         cfg = {"seed": 77, "out_dir": str(tmp_path / "out"),
                "dims": {"n": 3, "m": 2},
                "eval": {"snr_grid_db": list(snr_grid), "vectors_per_point": 40,
-                        "paired": paired, "detectors": detectors,
+                        "detectors": detectors,
                         "report_stem": "ber"}}
         return write_config(tmp_path / "eval.json", cfg)
 
@@ -203,7 +204,7 @@ def full_config(tmp_path):
                   "init_zeta": 1.0, "init_gamma": 0.01, "init_theta": 1.0, "alpha": 1.0,
                   "params_out": "p.json", "log_out": "log.csv"},
         "eval": {"snr_grid_db": [10.0], "vectors_per_point": 8, "channel_block": 2,
-                 "paired": True, "report_stem": "ber",
+                 "report_stem": "ber",
                  "detectors": traceable + [{"type": "mmse"}, {"type": "ml"}]},
         "diagnose": {"ensemble": 4, "noiseless": False, "snr_db": 10.0, "out_stem": "diag",
                      "detectors": copy.deepcopy(traceable)},
@@ -264,7 +265,7 @@ class TestStrictConfig:
     @pytest.mark.parametrize("path", [
         "threads", "dims.k", "train.init_eta_", "eval.vectors_per_pont",
         "eval.detectors[2].lamda", "diagnose.esemble", "diagnose.detectors[4].zeta_",
-        "validate.a_value", "validate.expectation_dims.l"])
+        "validate.a_value", "validate.expectation_dims.l", "eval.paired"])
     def test_unknown_key_is_rejected_with_its_path(self, tmp_path, capsys, path):
         cfg = write_config(tmp_path / "c.json", edited(full_config(tmp_path), path, 1))
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
@@ -283,6 +284,10 @@ class TestStrictConfig:
         ("eval", "eval.detectors[2].zeta", 1.0, "eval.detectors[2].zeta"),
         ("eval", "eval.detectors[0].T", 3, "eval.detectors[0]"),
         ("eval", "eval.detectors[2].lambda", 0.0, "eval.detectors[2]"),
+        ("train", "train.init_beta", 0.0, "train.init_beta"),
+        ("train", "train.init_theta", 0.0, "train.init_theta"),
+        ("train", "train.alpha", math.inf, "train.alpha"),
+        ("diagnose", "diagnose.detectors", [], "diagnose.detectors"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, path, value,
                                               named):

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hsmimo.detectors import DetectorDivergenceError, ThsParams, TpgParams
+from hsmimo.detectors import DetectorDivergenceError, ThsParams, TpgParams, lmmse_like_matrix
+from hsmimo.evaluation import make_detector
 from hsmimo.system_model import RngStream, SystemDims, realify_channel, sample_channel
 from hsmimo.unfolding import (
     AdamState,
@@ -186,6 +187,37 @@ class TestForwardUnrolled:
         assert err.value.detector == name
         assert err.value.iteration == 1
         assert str(err.value).startswith(f"{name} detector diverged")
+
+
+class TestTrainingMatchesDetection:
+    """The model training unrolls is the detector evaluation runs: both go
+    through detectors.unroll_layers, training in Gram form c - P s and
+    detection in residual form A (y - H s), so their states agree up to
+    rounding."""
+
+    @pytest.mark.parametrize("model", ["ths", "scalable_tpg", "tpg"])
+    @pytest.mark.parametrize("n,m,B", [(4, 3, 5), (3, 5, 2), (50, 32, 3)])
+    def test_every_layer_state_matches_the_traced_detector(self, model, n, m, B):
+        gen = np.random.default_rng(n * 10 + m)
+        T = 12
+        variant = {"ths": "ths", "scalable_tpg": "scalable", "tpg": "lmmse"}[model]
+        params = random_params(gen, T, variant)
+        H, X, Y = random_batch(40 + n, n=n, m=m, B=B)
+        # steps of a contractive recursion, as trained steps are: far beyond
+        # 2 / ||A H||_2 the iteration turns chaotic and amplifies any rounding
+        A = lmmse_like_matrix(H, params.alpha) if model == "tpg" else H.T
+        step = 1.0 / max(1.0, np.linalg.norm(A @ H, 2))
+        if model == "ths":
+            params.eta *= step
+        else:
+            params.gamma *= step
+        _, acts = forward_unrolled(H, Y, X, params, T)
+        detector = make_detector(model, params)
+        for b in range(B):
+            trace = detector.run(H, Y[:, b], 0.1, trace=True).trace
+            for t in range(T + 1):
+                np.testing.assert_allclose(acts.s[t][:, b], trace.s[t], rtol=0, atol=1e-12,
+                                           err_msg=f"column {b}, layer {t}")
 
 
 class TestBackwardGradients:
