@@ -175,7 +175,8 @@ def _checked(value, spec: dict, path: str):
     """``value`` checked against the table entry ``spec`` at ``path``: an
     object may hold only the keys its entry lists and gets the defaults of
     those left out, an array is checked item by item, and a scalar passes
-    through int() / float() / bool() / str() and its range check."""
+    through int() / float() / bool() / str() and its range check; a number
+    must be finite."""
     if "oneOf" in spec:  # a detector entry, checked against the entry of its type
         kind = value.get("type") if isinstance(value, dict) else None
         branches = [b for b in spec["oneOf"] if kind in b["properties"]["type"]["enum"]]
@@ -207,8 +208,10 @@ def _checked(value, spec: dict, path: str):
         raise ConfigError(mismatch)
     try:
         value = convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(mismatch) from None
+    if convert is float and not math.isfinite(value):  # JSON's NaN and Infinity tokens
+        raise ConfigError(f"{path}: must be finite, got {value}")
     if "enum" in spec and value not in spec["enum"]:
         raise ConfigError(f"{path}: expected one of {spec['enum']}, got {value!r}")
     if "minimum" in spec and value < spec["minimum"]:

@@ -3,14 +3,14 @@
 BER runs draw independent (channel, signal, noise) triples from dedicated
 substreams, so results are bit-reproducible for a fixed (seed, stream).
 When several detectors are evaluated together they see identical samples
-(paired comparison).  Vectors are processed in fixed Monte Carlo chunks of
-``_MC_CHUNK``.  The vectors of one chunk that share a channel
-(``channel_block``) are detected together as the columns of one batch: the
-channel is drawn once and each detector runs once per batch, while every
-vector still draws its signal and noise from its own substream.  The chunks
-fix the widest batch a detector sees and the order in which diagnostics
-add up their floating-point partial sums, so both are part of what makes a
-result reproducible.
+(paired comparison).  The vectors that share a channel (``channel_block``)
+are detected together as the columns of one batch, at most ``_MAX_BATCH``
+wide: the channel is drawn once per batch and each detector runs once per
+batch, while every vector still draws its signal and noise from its own
+substream.  Diagnostics process their ensemble in fixed Monte Carlo chunks
+of ``_MC_CHUNK`` and add up per-chunk floating-point partial sums in chunk
+order, so the chunk size is part of what makes a diagnostics result
+reproducible.
 
 Also houses two numerical self-checks of the math the HS detector rests
 on: the Gaussian-integral identity exp(-a x^2 / 2) =
@@ -21,7 +21,6 @@ exhaustive enumeration.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -55,10 +54,14 @@ SCHEMA_VERSION = 1
 # Substream domains inside one evaluation run.
 _CHAN, _SIG, _NOISE = 0, 1, 2
 
-# Fixed Monte Carlo chunk size.  It bounds the batch width of each detector
-# call, and run_diagnostics sums per-chunk partials in chunk order, so
-# changing it changes floating-point results.
+# Fixed Monte Carlo chunk size of run_diagnostics, which sums per-chunk
+# partials in chunk order, so changing it changes floating-point results.
 _MC_CHUNK = 64
+
+# Widest BER batch: the vectors of one channel block go to a detector
+# together, at most this many columns per call.  It only bounds memory,
+# about 1 MB of detector buffers at (50,32).
+_MAX_BATCH = 256
 
 
 class ValidationError(Exception):
@@ -75,7 +78,8 @@ class Detector:
 
     ``run(H, y, sigma2, trace=False)`` must return a DetectionResult.  In
     BER estimation ``y`` is a batch of observations (M, B), one vector per
-    column, all sent through the channel ``H``; ``hard`` is then (N, B) and
+    column, all sent through the channel ``H``: the vectors of one channel
+    block, at most ``_MAX_BATCH`` of them.  ``hard`` is then (N, B) and
     ``diverged`` is a per-column (B,) mask.  Diagnostics call it with one
     observation (M,) and ``trace=True``.
     """
@@ -214,6 +218,15 @@ def _mc_chunks(num_vectors: int):
     return [range(lo, min(lo + _MC_CHUNK, num_vectors)) for lo in range(0, num_vectors, _MC_CHUNK)]
 
 
+def _channel_batches(num_vectors: int, channel_block: int):
+    """Contiguous vector ranges that each share one channel and are at most
+    ``_MAX_BATCH`` wide, in vector order."""
+    for block_lo in range(0, num_vectors, channel_block):
+        block_hi = min(block_lo + channel_block, num_vectors)
+        for lo in range(block_lo, block_hi, _MAX_BATCH):
+            yield range(lo, min(lo + _MAX_BATCH, block_hi))
+
+
 def _draw_vector_sample(dims, noise, rng, i, channel_block):
     H = realify_channel(sample_channel(dims, rng.child(_CHAN, i // channel_block)))
     x = sample_signal(dims, rng.child(_SIG, i))
@@ -236,11 +249,12 @@ def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db:
 
     Draws ``num_vectors`` independent (channel, x, noise) triples -- a
     fresh channel every ``channel_block`` vectors -- and counts
-    hard-decision bit errors.  The vectors of a chunk that share a channel
-    go to each detector as one batch of columns.  A vector whose detector
-    state diverges (its column in the ``diverged`` mask, or every column of
-    a batch on which the detector raised DetectorDivergenceError) scores
-    all its N bits as errors and is tallied in ``diverged_vectors``.
+    hard-decision bit errors.  The vectors that share a channel go to each
+    detector as one batch of columns, split only where a block is wider
+    than ``_MAX_BATCH``.  A vector whose detector state diverges (its
+    column in the ``diverged`` mask, or every column of a batch on which
+    the detector raised DetectorDivergenceError) scores all its N bits as
+    errors and is tallied in ``diverged_vectors``.
     """
     if num_vectors < 1:
         raise ValueError("num_vectors must be >= 1")
@@ -249,20 +263,19 @@ def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db:
     noise = NoiseModel.from_snr(snr_db, dims.n)
     errors = [0] * len(detectors)
     diverged = [0] * len(detectors)
-    for chunk in _mc_chunks(num_vectors):
-        for _, batch in itertools.groupby(chunk, key=lambda i: i // channel_block):
-            H, X, Y = _draw_batch_sample(dims, noise, rng, list(batch), channel_block)
-            for k, det in enumerate(detectors):
-                try:
-                    result = det.run(H, Y, noise.sigma2)
-                    wrong = np.count_nonzero(result.hard != X, axis=0)
-                    bad = result.diverged
-                except DetectorDivergenceError:
-                    wrong = np.zeros(X.shape[1], dtype=int)
-                    bad = np.ones(X.shape[1], dtype=bool)
-                wrong[bad] = dims.N
-                errors[k] += int(wrong.sum())
-                diverged[k] += int(np.count_nonzero(bad))
+    for batch in _channel_batches(num_vectors, channel_block):
+        H, X, Y = _draw_batch_sample(dims, noise, rng, batch, channel_block)
+        for k, det in enumerate(detectors):
+            try:
+                result = det.run(H, Y, noise.sigma2)
+                wrong = np.count_nonzero(result.hard != X, axis=0)
+                bad = result.diverged
+            except DetectorDivergenceError:
+                wrong = np.zeros(X.shape[1], dtype=int)
+                bad = np.ones(X.shape[1], dtype=bool)
+            wrong[bad] = dims.N
+            errors[k] += int(wrong.sum())
+            diverged[k] += int(np.count_nonzero(bad))
     bits = dims.N * num_vectors
     return {det.name: BerPoint.from_counts(snr_db, det.name, bits, errors[k], num_vectors,
                                            diverged[k])

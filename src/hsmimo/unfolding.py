@@ -95,6 +95,10 @@ class TrainingConfig:
         for name in ("T", "batches_per_generation", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon", "init_eta",
+                     "init_beta", "init_zeta", "init_gamma", "init_theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate: must be positive, got {self.learning_rate}")
         if self.model not in TRAINABLE_MODELS:

@@ -288,6 +288,11 @@ class TestStrictConfig:
         ("train", "train.init_theta", 0.0, "train.init_theta"),
         ("train", "train.alpha", math.inf, "train.alpha"),
         ("diagnose", "diagnose.detectors", [], "diagnose.detectors"),
+        ("eval", "eval.snr_grid_db", [math.nan], "eval.snr_grid_db[0]: must be finite"),
+        ("diagnose", "diagnose.snr_db", math.nan, "diagnose.snr_db: must be finite"),
+        ("train", "train.learning_rate", math.inf, "train.learning_rate: must be finite"),
+        ("eval", "eval.detectors[1].eta", math.nan, "eval.detectors[1].eta: must be finite"),
+        ("train", "train.T", math.inf, "train.T: expected integer"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, path, value,
                                               named):

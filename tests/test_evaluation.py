@@ -19,6 +19,7 @@ from hsmimo.detectors import (
 from hsmimo.evaluation import (
     BerCurve,
     BerPoint,
+    _MAX_BATCH,
     Detector,
     QuadratureConfig,
     ValidationError,
@@ -90,15 +91,55 @@ def per_vector_counts(detectors, dims, snr_db, vectors, rng, channel_block):
     return {name: tuple(c) for name, c in counts.items()}
 
 
+def recording_detector(calls):
+    """An MMSE detector that appends (H, batch width) of every call to ``calls``."""
+    mmse = make_mmse_detector()
+
+    def run(H, y, sigma2, trace=False):
+        calls.append((H, y.shape[1]))
+        return mmse.run(H, y, sigma2)
+
+    return Detector(name="recording", run=run, traceable=False)
+
+
+class TestBatchPlan:
+    dims = SystemDims(3, 2)
+
+    def calls(self, num_vectors, channel_block, rng):
+        calls = []
+        estimate_ber(recording_detector(calls), self.dims, 10.0, num_vectors, rng,
+                     channel_block=channel_block)
+        return calls
+
+    def test_one_call_per_channel_block(self):
+        assert [w for _, w in self.calls(200, 100, RngStream(35))] == [100, 100]
+
+    def test_iid_channels_are_detected_one_vector_at_a_time(self):
+        assert [w for _, w in self.calls(50, 1, RngStream(35))] == [1] * 50
+
+    def test_block_wider_than_the_cap_is_split_inside_the_block(self):
+        block, rng = _MAX_BATCH + 44, RngStream(36)
+        calls = self.calls(2 * block, block, rng)
+        assert [w for _, w in calls] == [_MAX_BATCH, 44, _MAX_BATCH, 44]
+        noise = NoiseModel.from_snr(10.0, self.dims.n)
+        lo = 0
+        for H, width in calls:
+            assert lo // block == (lo + width - 1) // block  # one block per batch
+            np.testing.assert_array_equal(
+                H, _draw_vector_sample(self.dims, noise, rng, lo, block).channel)
+            lo += width
+
+
 class TestBatchedEstimate:
-    @pytest.mark.parametrize("channel_block", [1, 7, 100])
-    def test_counts_equal_per_vector_loop(self, channel_block):
-        # 200 vectors are chunks of 64: block 100 crosses a chunk boundary
+    @pytest.mark.parametrize("channel_block, num_vectors", [(1, 200), (7, 200), (100, 200),
+                                                            (300, 600)])
+    def test_counts_equal_per_vector_loop(self, channel_block, num_vectors):
+        # block 100 is one 100-wide batch; block 300 is split where it exceeds _MAX_BATCH
         dims = SystemDims(6, 4)
         rng = RngStream(30)
-        points = estimate_ber_paired(five_detectors(), dims, 8.0, 200, rng,
+        points = estimate_ber_paired(five_detectors(), dims, 8.0, num_vectors, rng,
                                      channel_block=channel_block)
-        reference = per_vector_counts(five_detectors(), dims, 8.0, range(200), rng,
+        reference = per_vector_counts(five_detectors(), dims, 8.0, range(num_vectors), rng,
                                       channel_block)
         assert {name: (p.bit_errors, p.diverged_vectors) for name, p in points.items()} \
             == reference

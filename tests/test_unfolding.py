@@ -347,6 +347,14 @@ class TestIncrementalTrain:
         defaults.update(kw)
         return TrainingConfig(**defaults)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["learning_rate", "adam_beta1", "adam_beta2", "adam_epsilon",
+                                      "init_eta", "init_beta", "init_zeta", "init_gamma",
+                                      "init_theta"])
+    def test_non_finite_constant_is_rejected_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: must be finite"):
+            self.small_config(**{name: value})
+
     def test_log_bookkeeping(self):
         config = self.small_config()
         result = incremental_train(config)
