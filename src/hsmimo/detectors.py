@@ -21,7 +21,8 @@ residual form A (y - H s), training the Gram form c - P s; a traced run
 and training keep every layer's states, plain detection only the last.
 Every detector but the ML oracle also takes a batch of observations as the
 columns of y (M, B) and returns (N, B) outputs, with the matrix products of
-all columns done at once; divergence is then reported per column.
+all columns done at once; divergence is then reported per column, and a
+traced run keeps every column's states.
 """
 
 from __future__ import annotations
@@ -190,13 +191,14 @@ class DetectorTrace:
     row 0 the zero initialization).  ``gradient_amplitude[t]`` is
     G_t = ||H^T (y - H s_t)||_2 / N at state t, and ``bit_flip_ratio[t]``
     the fraction of sign flips from s_t to s_{t+1}; both are derived from
-    the recorded states once the run ends.
+    the recorded states once the run ends.  A run on a batch of columns
+    y (M, B) adds a trailing B axis to every array, one per column.
     """
 
-    u: np.ndarray  # (T+1, N)
-    s: np.ndarray  # (T+1, N)
-    gradient_amplitude: np.ndarray  # (T+1,)
-    bit_flip_ratio: np.ndarray  # (T,)
+    u: np.ndarray  # (T+1, N) or (T+1, N, B)
+    s: np.ndarray  # (T+1, N) or (T+1, N, B)
+    gradient_amplitude: np.ndarray  # (T+1,) or (T+1, B)
+    bit_flip_ratio: np.ndarray  # (T,) or (T, B)
 
 
 @dataclass
@@ -206,7 +208,8 @@ class DetectionResult:
     ``soft`` and ``hard`` have shape (N,) or (N, B).  ``diverged`` marks the
     batch columns whose state went non-finite; their soft and hard outputs
     are NaN.  It has shape soft.shape[1:] and defaults to no diverged column;
-    a single-vector detector raises DetectorDivergenceError instead.
+    a single-vector or traced detector run raises DetectorDivergenceError
+    instead.
     """
 
     soft: np.ndarray
@@ -241,9 +244,16 @@ def _check_system(H: np.ndarray, y: np.ndarray, batch: bool = True) -> tuple:
 
 
 def gradient_amplitudes(H: np.ndarray, y: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """G = ||H^T (y - H s)||_2 / N for every row s of the state stack S (K, N),
-    as one residual product over all K states."""
-    return np.linalg.norm(H.T @ (y[:, None] - H @ S.T), axis=0) / H.shape[1]
+    """G = ||H^T (y - H s)||_2 / N for every state s of the stack S: (K,) for
+    K states (K, N) of one observation y (M,), (K, B) for states (K, N, B) of
+    the columns of y (M, B).  All K*B states go through one (N, K*B) product."""
+    batch = S.ndim == 3
+    if not batch:
+        S, y = S[..., None], y[:, None]
+    K, N, B = S.shape
+    r = y[:, None, :] - (H @ S.transpose(1, 0, 2).reshape(N, K * B)).reshape(-1, K, B)
+    G = np.linalg.norm(H.T @ r.reshape(-1, K * B), axis=0).reshape(K, B) / N
+    return G if batch else G[:, 0]
 
 
 def sign_flips(s_prev, s_next) -> np.ndarray:
@@ -339,12 +349,12 @@ def _detect(H, A, y, params, trace: bool, name: str) -> DetectionResult:
 
     ``y`` is one observation (M,) or a batch of columns (M, B).  A single
     vector raises DetectorDivergenceError on a non-finite state; a batch
-    marks the offending columns diverged, with NaN outputs.  A traced run
-    keeps all T+1 states, the trace's u-slots holding the p_t, and derives
-    G_t and the flip ratios from them once the run ends.
+    marks the offending columns diverged, with NaN outputs.  A traced run,
+    of one vector or of a batch, keeps all T+1 states, the trace's u-slots
+    holding the p_t, and derives G_t and the flip ratios from them once the
+    run ends.  Its states are read afterwards, so a traced batch raises on a
+    non-finite state like a single vector instead of restarting the column.
     """
-    if trace and y.ndim != 1:
-        raise ValueError("trace=True needs a single observation vector, not a batch")
     batch = y.ndim > 1
     # y's shape with N rows in place of M, and one divergence flag per column
     row = y.shape[:-2] + (H.shape[-1],) + y.shape[-1:] if batch else (H.shape[-1],)
@@ -359,7 +369,7 @@ def _detect(H, A, y, params, trace: bool, name: str) -> DetectionResult:
         np.subtract(y, r, out=r)
         return np.matmul(A, r, out=g)
 
-    unroll_layers(params, params.T, p, s, residual, name, diverged)
+    unroll_layers(params, params.T, p, s, residual, name, None if trace else diverged)
     soft = s[-1]
     hard = hard_decision(soft)
     if batch and diverged.any():

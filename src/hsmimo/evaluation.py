@@ -3,14 +3,16 @@
 BER runs draw independent (channel, signal, noise) triples from dedicated
 substreams, so results are bit-reproducible for a fixed (seed, stream).
 When several detectors are evaluated together they see identical samples
-(paired comparison).  The vectors that share a channel (``channel_block``)
-are detected together as the columns of one batch, at most ``_MAX_BATCH``
-wide: the channel is drawn once per batch and each detector runs once per
-batch, while every vector still draws its signal and noise from its own
-substream.  Diagnostics process their ensemble in fixed Monte Carlo chunks
-of ``_MC_CHUNK`` and add up per-chunk floating-point partial sums in chunk
-order, so the chunk size is part of what makes a diagnostics result
-reproducible.
+(paired comparison).  BER estimation and diagnostics share one batch plan
+and one sampler: the vectors that share a channel (``channel_block``; 1 in
+diagnostics) are drawn and detected together as the columns of one batch,
+at most ``_MAX_BATCH`` wide.  The channel is drawn once per batch and each
+detector runs once per batch on an (M, B) observation, traced in
+diagnostics, while every vector still draws its signal and noise from its
+own substream.  Diagnostics add each vector's G_t and flip ratios to the
+partial sum of its fixed Monte Carlo chunk of ``_MC_CHUNK`` vectors and add
+up the partials in chunk order, so the chunk size is part of what makes a
+diagnostics result reproducible.
 
 Also houses two numerical self-checks of the math the HS detector rests
 on: the Gaussian-integral identity exp(-a x^2 / 2) =
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -54,8 +56,9 @@ SCHEMA_VERSION = 1
 # Substream domains inside one evaluation run.
 _CHAN, _SIG, _NOISE = 0, 1, 2
 
-# Fixed Monte Carlo chunk size of run_diagnostics, which sums per-chunk
-# partials in chunk order, so changing it changes floating-point results.
+# Fixed Monte Carlo chunk size of run_diagnostics: vector i adds to the
+# partial sum of chunk i // _MC_CHUNK, and the partials are added in chunk
+# order, so changing it changes floating-point results.
 _MC_CHUNK = 64
 
 # Widest BER batch: the vectors of one channel block go to a detector
@@ -76,12 +79,12 @@ class ValidationError(Exception):
 class Detector:
     """A named, runnable detector for Monte Carlo evaluation.
 
-    ``run(H, y, sigma2, trace=False)`` must return a DetectionResult.  In
-    BER estimation ``y`` is a batch of observations (M, B), one vector per
-    column, all sent through the channel ``H``: the vectors of one channel
-    block, at most ``_MAX_BATCH`` of them.  ``hard`` is then (N, B) and
-    ``diverged`` is a per-column (B,) mask.  Diagnostics call it with one
-    observation (M,) and ``trace=True``.
+    ``run(H, y, sigma2, trace=False)`` must return a DetectionResult.
+    Evaluation always passes a batch of observations ``y`` (M, B), one vector
+    per column, all sent through the channel ``H``: the vectors of one
+    channel block, at most ``_MAX_BATCH`` of them.  ``hard`` is then (N, B)
+    and ``diverged`` is a per-column (B,) mask.  Diagnostics pass
+    ``trace=True`` and read the (T+1, B) and (T, B) arrays of the trace.
     """
 
     name: str
@@ -214,10 +217,6 @@ class BerCurve:
             raise ValueError("all points must share the curve's detector id")
 
 
-def _mc_chunks(num_vectors: int):
-    return [range(lo, min(lo + _MC_CHUNK, num_vectors)) for lo in range(0, num_vectors, _MC_CHUNK)]
-
-
 def _channel_batches(num_vectors: int, channel_block: int):
     """Contiguous vector ranges that each share one channel and are at most
     ``_MAX_BATCH`` wide, in vector order."""
@@ -227,20 +226,25 @@ def _channel_batches(num_vectors: int, channel_block: int):
             yield range(lo, min(lo + _MAX_BATCH, block_hi))
 
 
-def _draw_vector_sample(dims, noise, rng, i, channel_block):
-    H = realify_channel(sample_channel(dims, rng.child(_CHAN, i // channel_block)))
-    x = sample_signal(dims, rng.child(_SIG, i))
-    return transmit(H, x, noise, rng.child(_NOISE, i))
-
-
 def _draw_batch_sample(dims, noise, rng, batch, channel_block):
     """(H, X, Y) of the vectors ``batch``, which share channel block
-    batch[0] // channel_block: H drawn once, column j of X (N, B) and
-    Y (M, B) equal to x and y of _draw_vector_sample for vector batch[j]."""
+    b = batch[0] // channel_block: H drawn once from rng.child(_CHAN, b),
+    column j of X (N, B) and Y (M, B) the signal and observation of vector
+    i = batch[j], drawn from rng.child(_SIG, i) and rng.child(_NOISE, i)."""
     H = realify_channel(sample_channel(dims, rng.child(_CHAN, batch[0] // channel_block)))
-    samples = [transmit(H, sample_signal(dims, rng.child(_SIG, i)), noise, rng.child(_NOISE, i))
-               for i in batch]
-    return H, np.stack([s.x for s in samples], axis=1), np.stack([s.y for s in samples], axis=1)
+    X = np.empty((dims.N, len(batch)))
+    Y = np.empty((dims.M, len(batch)))
+    for j, i in enumerate(batch):
+        sample = transmit(H, sample_signal(dims, rng.child(_SIG, i)), noise, rng.child(_NOISE, i))
+        X[:, j], Y[:, j] = sample.x, sample.y
+    return H, X, Y
+
+
+def _sample_batches(dims, noise, rng, num_vectors, channel_block):
+    """The one sample path of BER estimation and diagnostics: (batch, H, X, Y)
+    for each batch of _channel_batches, in vector order."""
+    for batch in _channel_batches(num_vectors, channel_block):
+        yield (batch, *_draw_batch_sample(dims, noise, rng, batch, channel_block))
 
 
 def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db: float,
@@ -263,8 +267,7 @@ def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db:
     noise = NoiseModel.from_snr(snr_db, dims.n)
     errors = [0] * len(detectors)
     diverged = [0] * len(detectors)
-    for batch in _channel_batches(num_vectors, channel_block):
-        H, X, Y = _draw_batch_sample(dims, noise, rng, batch, channel_block)
+    for _, H, X, Y in _sample_batches(dims, noise, rng, num_vectors, channel_block):
         for k, det in enumerate(detectors):
             try:
                 result = det.run(H, Y, noise.sigma2)
@@ -363,8 +366,11 @@ def run_diagnostics(detector: Detector, dims: SystemDims, ensemble: int, noisele
                     rng: RngStream, snr_db: Optional[float] = None) -> DiagnosticsRecord:
     """Average per-iteration G_t and bit-flip ratio over a signal ensemble.
 
-    Every signal gets a fresh channel.  ``noiseless`` forces sigma_w^2 = 0;
-    otherwise ``snr_db`` sets the noise level.
+    Every signal gets a fresh channel: the samples are those of
+    estimate_ber_paired at channel_block 1, each detected as a traced
+    one-column batch.  ``noiseless`` forces sigma_w^2 = 0; otherwise
+    ``snr_db`` sets the noise level.  A diverging run raises
+    DetectorDivergenceError.
     """
     if not detector.traceable:
         raise ValueError(f"detector {detector.name!r} does not support tracing")
@@ -377,26 +383,14 @@ def run_diagnostics(detector: Detector, dims: SystemDims, ensemble: int, noisele
             raise ValueError("snr_db required when not noiseless")
         noise = NoiseModel.from_snr(snr_db, dims.n)
 
-    def chunk_sums(chunk):
-        g_sum = None
-        flip_sum = None
-        for i in chunk:
-            sample = _draw_vector_sample(dims, noise, rng, i, channel_block=1)
-            result = detector.run(sample.channel, sample.y, noise.sigma2, trace=True)
-            tr = result.trace
-            if g_sum is None:
-                g_sum = np.zeros(tr.bit_flip_ratio.size)
-                flip_sum = np.zeros(tr.bit_flip_ratio.size)
-            g_sum += tr.gradient_amplitude[1:]
-            flip_sum += tr.bit_flip_ratio
-        return g_sum, flip_sum
-
-    partials = [chunk_sums(chunk) for chunk in _mc_chunks(ensemble)]
-    g_total = partials[0][0].copy()
-    flip_total = partials[0][1].copy()
-    for g_part, flip_part in partials[1:]:
-        g_total += g_part
-        flip_total += flip_part
+    partials = None  # (chunk, [G_t, flip ratio], t): per-chunk sums, added in chunk order
+    for batch, H, _, Y in _sample_batches(dims, noise, rng, ensemble, 1):
+        tr = detector.run(H, Y, noise.sigma2, trace=True).trace
+        if partials is None:
+            partials = np.zeros((-(-ensemble // _MC_CHUNK), 2, tr.bit_flip_ratio.shape[0]))
+        for j, i in enumerate(batch):
+            partials[i // _MC_CHUNK] += tr.gradient_amplitude[1:, j], tr.bit_flip_ratio[:, j]
+    g_total, flip_total = partials.sum(axis=0)
     return DiagnosticsRecord(detector=detector.name,
                              mean_gradient_amplitude=g_total / ensemble,
                              mean_bit_flip_ratio=flip_total / ensemble,
@@ -493,33 +487,6 @@ def brute_force_expectation(H, v, beta: float, tol: Optional[float] = 1e-10) -> 
 # Report persistence
 # ---------------------------------------------------------------------------
 
-def _point_to_dict(p: BerPoint) -> dict:
-    return {
-        "snr_db": p.snr_db,
-        "detector": p.detector,
-        "bits_tested": p.bits_tested,
-        "bit_errors": p.bit_errors,
-        "ber": p.ber,
-        "ci_half_width": p.ci_half_width,
-        "num_vectors": p.num_vectors,
-        "diverged_vectors": p.diverged_vectors,
-    }
-
-
-def _curve_to_dict(c: BerCurve) -> dict:
-    return {
-        "detector": c.detector,
-        "n": c.n,
-        "m": c.m,
-        "depth": c.depth,
-        "seed": c.seed,
-        "stream_id": c.stream_id,
-        "param_fingerprint": c.param_fingerprint,
-        "timestamp": c.timestamp,
-        "points": [_point_to_dict(p) for p in c.points],
-    }
-
-
 def write_report(curves: Sequence[BerCurve], path_stem) -> tuple:
     """Persist BER curves as ``<stem>.csv`` (one row per point) and
     ``<stem>.json`` (full metadata).  Returns the two paths."""
@@ -541,7 +508,7 @@ def write_report(curves: Sequence[BerCurve], path_stem) -> tuple:
                                      c.depth if c.depth is not None else "",
                                      p.snr_db, p.bits_tested, p.bit_errors, p.ber,
                                      p.ci_half_width])
-        doc = {"schema_version": SCHEMA_VERSION, "curves": [_curve_to_dict(c) for c in curves]}
+        doc = {"schema_version": SCHEMA_VERSION, "curves": [asdict(c) for c in curves]}
         json_path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing report to {stem}.*: {exc}") from exc
@@ -555,14 +522,8 @@ def read_report(json_path) -> list:
     doc = json.loads(Path(json_path).read_text())
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported report schema version {doc.get('schema_version')}")
-    curves = []
-    for cd in doc["curves"]:
-        points = [BerPoint(**pd) for pd in cd["points"]]
-        curves.append(BerCurve(detector=cd["detector"], n=cd["n"], m=cd["m"], depth=cd["depth"],
-                               seed=cd["seed"], stream_id=cd["stream_id"], points=points,
-                               param_fingerprint=cd["param_fingerprint"],
-                               timestamp=cd["timestamp"]))
-    return curves
+    return [BerCurve(**{**cd, "points": [BerPoint(**pd) for pd in cd["points"]]})
+            for cd in doc["curves"]]
 
 
 def write_diagnostics(records: Sequence[DiagnosticsRecord], path_stem) -> Path:

@@ -94,8 +94,8 @@ class NoiseModel:
     sigma2: float  # variance per complex receive component
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError(f"noise variance must be nonnegative, got {self.sigma2}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(f"noise variance must be finite and nonnegative, got {self.sigma2}")
 
     @property
     def per_real_component_variance(self) -> float:
@@ -121,10 +121,17 @@ class TransmissionSample:
 
 
 def snr_to_sigma2(snr_db: float, n: int) -> float:
-    """Invert SNR = 10 log10(n / sigma_w^2) for the complex noise variance."""
+    """Invert SNR = 10 log10(n / sigma_w^2) for the complex noise variance;
+    snr_db = +inf is the noiseless limit sigma_w^2 = 0."""
     if n < 1:
         raise ValueError(f"transmit antenna count must be >= 1, got {n}")
-    return float(n) * 10.0 ** (-snr_db / 10.0)
+    try:
+        sigma2 = float(n) * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:  # 10 ** x beyond the float range
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):  # NaN, -inf or a finite SNR too low for a float
+        raise ValueError(f"snr_db must give a finite noise variance, got {snr_db}")
+    return sigma2
 
 
 def sample_channel(dims: SystemDims, rng) -> np.ndarray:

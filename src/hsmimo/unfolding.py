@@ -92,6 +92,11 @@ class TrainingConfig:
         # each message starts with its field, which cmd_train prefixes with "train."
         if not self.snr_schedule:
             raise ValueError("snr_schedule: must not be empty")
+        for snr_db in self.snr_schedule:
+            try:
+                snr_to_sigma2(snr_db, self.dims.n)
+            except ValueError as exc:
+                raise ValueError(f"snr_schedule: {exc}") from exc
         for name in ("T", "batches_per_generation", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")

@@ -46,16 +46,19 @@ def random_batch(seed, n=4, m=3, B=6, noise=0.3):
 
 
 def batch_detectors(step=None):
-    """Each batch-capable detector as detect(H, y); ``step`` overrides every
-    step size (eta / gamma) of the iterative ones."""
+    """Each batch-capable detector as detect(H, y), the iterative ones (depth
+    12) as detect(H, y, trace=False); ``step`` overrides every step size
+    (eta / gamma) of the iterative ones."""
     eta = 0.05 if step is None else step
     gamma = 0.3 if step is None else step
     return {
-        "ths": lambda H, y: ths_detect(H, y, ThsParams.initial(12, eta=eta, zeta=1.05)),
-        "hs": lambda H, y: hs_detect(H, y, HsParams(T=12, eta=eta)),
-        "scalable_tpg": lambda H, y: scalable_tpg_detect(H, y, TpgParams.initial(12, gamma=eta)),
-        "tpg": lambda H, y: tpg_detect(H, y, 0.1, TpgParams.initial(12, gamma=gamma,
-                                                                    variant="lmmse", alpha=1.0)),
+        "ths": lambda H, y, **kw: ths_detect(H, y, ThsParams.initial(12, eta=eta, zeta=1.05),
+                                             **kw),
+        "hs": lambda H, y, **kw: hs_detect(H, y, HsParams(T=12, eta=eta), **kw),
+        "scalable_tpg": lambda H, y, **kw: scalable_tpg_detect(
+            H, y, TpgParams.initial(12, gamma=eta), **kw),
+        "tpg": lambda H, y, **kw: tpg_detect(
+            H, y, 0.1, TpgParams.initial(12, gamma=gamma, variant="lmmse", alpha=1.0), **kw),
         "mmse": lambda H, y: mmse_detect(H, y, 0.2),
     }
 
@@ -92,17 +95,35 @@ class TestBatchedColumns:
             np.testing.assert_allclose(batch.soft[:, j], single.soft, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(batch.hard[:, j], single.hard)
 
-    @pytest.mark.parametrize("detect", [
-        lambda H, y, trace: ths_detect(H, y, ThsParams.initial(3), trace=trace),
-        lambda H, y, trace: hs_detect(H, y, HsParams(T=3), trace=trace),
-        lambda H, y, trace: scalable_tpg_detect(H, y, TpgParams.initial(3), trace=trace),
-        lambda H, y, trace: tpg_detect(H, y, 0.1, TpgParams.initial(3, variant="lmmse"),
-                                       trace=trace),
-    ], ids=ITERATIVE)
-    def test_trace_needs_a_single_vector(self, detect):
-        H, X, Y = random_batch(22)
-        assert detect(H, Y[:, 0], trace=True).trace is not None
-        with pytest.raises(ValueError, match="single observation"):
+    @pytest.mark.parametrize("name", ITERATIVE)
+    def test_traced_batch_columns_equal_single_traced_calls(self, name):
+        detect, T = batch_detectors()[name], 12
+        H, X, Y = random_batch(22, n=25, m=16, B=8)
+        N, B = X.shape
+        tr = detect(H, Y, trace=True).trace
+        assert tr.u.shape == tr.s.shape == (T + 1, N, B)
+        assert tr.gradient_amplitude.shape == (T + 1, B)
+        assert tr.bit_flip_ratio.shape == (T, B)
+        assert_bitwise(tr.s[-1], detect(H, Y, trace=False).soft)
+        for j in range(B):
+            single = detect(H, Y[:, j], trace=True).trace
+            np.testing.assert_allclose(tr.s[:, :, j], single.s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tr.gradient_amplitude[:, j], single.gradient_amplitude,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(tr.bit_flip_ratio[:, j], single.bit_flip_ratio)
+        # a one-column batch is bitwise the single-vector run
+        one, single = detect(H, Y[:, :1], trace=True).trace, detect(H, Y[:, 0], trace=True).trace
+        for field in ("u", "s", "gradient_amplitude", "bit_flip_ratio"):
+            assert_bitwise(getattr(one, field)[..., 0], getattr(single, field))
+
+    @pytest.mark.parametrize("name", ITERATIVE)
+    def test_traced_batch_raises_on_a_diverging_column(self, name):
+        # a traced run's states are read afterwards, so it does not restart a column
+        detect = batch_detectors(step=1e10)[name]
+        H, X, Y = random_batch(21)
+        Y[:, 2] = 1e300
+        assert detect(H, Y, trace=False).diverged[2]
+        with pytest.raises(DetectorDivergenceError):
             detect(H, Y, trace=True)
 
 

@@ -20,11 +20,11 @@ from hsmimo.evaluation import (
     BerCurve,
     BerPoint,
     _MAX_BATCH,
+    _MC_CHUNK,
     Detector,
     QuadratureConfig,
     ValidationError,
     _draw_batch_sample,
-    _draw_vector_sample,
     bit_flip_ratio,
     brute_force_expectation,
     estimate_ber,
@@ -44,7 +44,7 @@ from hsmimo.evaluation import (
     write_report,
 )
 from hsmimo.system_model import (NoiseModel, RngStream, SystemDims, realify_channel,
-                                 sample_channel)
+                                 sample_channel, sample_signal, transmit)
 
 
 def perfect_detector(name="perfect"):
@@ -74,13 +74,22 @@ def five_detectors():
     ]
 
 
+def draw_vector_sample(dims, noise, rng, i, channel_block):
+    """Reference draw of vector ``i`` alone, from the public sampling functions
+    and the evaluation stream layout: the channel of block b from
+    rng.child(0, b), the signal and noise of vector i from rng.child(1, i)
+    and rng.child(2, i)."""
+    H = realify_channel(sample_channel(dims, rng.child(0, i // channel_block)))
+    return transmit(H, sample_signal(dims, rng.child(1, i)), noise, rng.child(2, i))
+
+
 def per_vector_counts(detectors, dims, snr_db, vectors, rng, channel_block):
     """Reference loop: {name: (bit errors, diverged vectors)} over ``vectors``
     from single-vector detector calls, one freshly drawn sample at a time."""
     noise = NoiseModel.from_snr(snr_db, dims.n)
     counts = {det.name: [0, 0] for det in detectors}
     for i in vectors:
-        sample = _draw_vector_sample(dims, noise, rng, i, channel_block)
+        sample = draw_vector_sample(dims, noise, rng, i, channel_block)
         for det in detectors:
             try:
                 res = det.run(sample.channel, sample.y, noise.sigma2)
@@ -126,7 +135,7 @@ class TestBatchPlan:
         for H, width in calls:
             assert lo // block == (lo + width - 1) // block  # one block per batch
             np.testing.assert_array_equal(
-                H, _draw_vector_sample(self.dims, noise, rng, lo, block).channel)
+                H, draw_vector_sample(self.dims, noise, rng, lo, block).channel)
             lo += width
 
 
@@ -151,7 +160,7 @@ class TestBatchedEstimate:
         rng = RngStream(31)
         H, X, Y = _draw_batch_sample(dims, noise, rng, [7, 8, 9], channel_block=5)
         for j, i in enumerate([7, 8, 9]):
-            sample = _draw_vector_sample(dims, noise, rng, i, 5)
+            sample = draw_vector_sample(dims, noise, rng, i, 5)
             np.testing.assert_array_equal(H, sample.channel)
             np.testing.assert_array_equal(X[:, j], sample.x)
             np.testing.assert_array_equal(Y[:, j], sample.y)
@@ -231,6 +240,11 @@ class TestEstimateBer:
         assert point.ber == 1.0
         assert point.diverged_vectors == 50
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_or_minus_infinity_snr_is_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            estimate_ber(make_mmse_detector(), SystemDims(2, 2), snr_db, 10, RngStream(0))
+
     def test_confidence_shrinks_with_sample_size(self):
         dims = SystemDims(3, 2)
         small = estimate_ber(make_mmse_detector(), dims, 8.0, 1000, RngStream(7))
@@ -304,14 +318,46 @@ class TestDiagnosticsOps:
         det = make_ths_detector(ThsParams.initial(6, eta=0.1, zeta=1.1))
         rng = RngStream(14)
         rec = run_diagnostics(det, dims, ensemble=1, noiseless=True, rng=rng)
-        # rebuild the single sample exactly as the runner does
-        from hsmimo.evaluation import _draw_vector_sample
-        from hsmimo.system_model import NoiseModel
-        sample = _draw_vector_sample(dims, NoiseModel.noiseless(), rng, 0, 1)
+        sample = draw_vector_sample(dims, NoiseModel.noiseless(), rng, 0, 1)
         res = det.run(sample.channel, sample.y, 0.0, trace=True)
         np.testing.assert_array_equal(rec.mean_gradient_amplitude,
                                       res.trace.gradient_amplitude[1:])
         np.testing.assert_array_equal(rec.mean_bit_flip_ratio, res.trace.bit_flip_ratio)
+
+    @pytest.mark.parametrize("noiseless", [True, False], ids=["noiseless", "10dB"])
+    @pytest.mark.parametrize("det", [
+        make_ths_detector(ThsParams.initial(8, eta=0.1, zeta=1.1)),
+        make_scalable_tpg_detector(TpgParams.initial(8, gamma=0.1)),
+    ], ids=["ths", "scalable_tpg"])
+    def test_run_diagnostics_sums_chunk_partials_in_order(self, det, noiseless):
+        # 130 vectors are three chunks (64, 64, 2); the result must equal, bitwise,
+        # single-vector traced calls summed in per-chunk partials added in order
+        dims, ensemble, rng = SystemDims(4, 3), 130, RngStream(15)
+        noise = NoiseModel.noiseless() if noiseless else NoiseModel.from_snr(10.0, dims.n)
+        rec = run_diagnostics(det, dims, ensemble, noiseless, rng,
+                              snr_db=None if noiseless else 10.0)
+        partials = []
+        for lo in range(0, ensemble, _MC_CHUNK):
+            g, flips = np.zeros(det.depth), np.zeros(det.depth)
+            for i in range(lo, min(lo + _MC_CHUNK, ensemble)):
+                sample = draw_vector_sample(dims, noise, rng, i, 1)
+                tr = det.run(sample.channel, sample.y, noise.sigma2, trace=True).trace
+                g += tr.gradient_amplitude[1:]
+                flips += tr.bit_flip_ratio
+            partials.append((g, flips))
+        assert len(partials) == 3
+        g_total, flip_total = partials[0]
+        for g, flips in partials[1:]:
+            g_total += g
+            flip_total += flips
+        np.testing.assert_array_equal(rec.mean_gradient_amplitude, g_total / ensemble)
+        np.testing.assert_array_equal(rec.mean_bit_flip_ratio, flip_total / ensemble)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_or_minus_infinity_snr_is_rejected(self, snr_db):
+        det = make_ths_detector(ThsParams.initial(3))
+        with pytest.raises(ValueError, match="snr_db"):
+            run_diagnostics(det, SystemDims(2, 2), 2, False, RngStream(0), snr_db=snr_db)
 
     def test_untraceable_detector_rejected(self):
         with pytest.raises(ValueError):

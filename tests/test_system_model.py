@@ -127,6 +127,21 @@ class TestSnrMapping:
         assert noise.sigma2 == 0.0
         assert math.isinf(noise.snr_db)
 
+    def test_plus_infinity_is_the_noiseless_limit(self):
+        assert snr_to_sigma2(math.inf, 4) == 0.0
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -4000.0])
+    def test_snr_without_a_finite_noise_variance_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            snr_to_sigma2(snr_db, 4)
+        with pytest.raises(ValueError, match="snr_db"):
+            NoiseModel.from_snr(snr_db, 4)
+
+    @pytest.mark.parametrize("sigma2", [math.nan, math.inf, -1.0])
+    def test_noise_variance_must_be_finite_and_nonnegative(self, sigma2):
+        with pytest.raises(ValueError, match="noise variance"):
+            NoiseModel(snr_db=0.0, sigma2=sigma2)
+
 
 class TestSampleSignal:
     def test_membership(self):

@@ -355,6 +355,11 @@ class TestIncrementalTrain:
         with pytest.raises(ValueError, match=f"^{name}: must be finite"):
             self.small_config(**{name: value})
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_or_minus_infinity_snr_is_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="^snr_schedule: snr_db"):
+            self.small_config(snr_schedule=(15.0, snr_db))
+
     def test_log_bookkeeping(self):
         config = self.small_config()
         result = incremental_train(config)
