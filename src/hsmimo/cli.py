@@ -36,7 +36,7 @@ from .evaluation import (
     write_diagnostics,
     write_report,
 )
-from .system_model import RngStream, SystemDims, realify_channel, sample_channel
+from .system_model import RngStream, SystemDims, realify_channel, sample_channel, snr_to_sigma2
 from .unfolding import (
     TRAINABLE_MODELS,
     TrainingConfig,
@@ -265,6 +265,14 @@ def _build_detector(entry: dict, path: str, config_dir: Path) -> Detector:
         raise ConfigError(f"{path} (detector {name!r}): {exc}") from exc
 
 
+def _check_snr(snr_db: float, dims: SystemDims, path: str):
+    """Reject a finite SNR too low to give a float noise variance, naming its key."""
+    try:
+        snr_to_sigma2(snr_db, dims.n)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _build_detectors(cfg: dict, section: str, config_dir: Path) -> list:
     return [_build_detector(entry, f"{section}.detectors[{i}]", config_dir)
             for i, entry in enumerate(cfg[section]["detectors"])]
@@ -318,6 +326,8 @@ def cmd_eval(cfg: dict, config_dir: Path) -> int:
     grid, vectors = section["snr_grid_db"], section["vectors_per_point"]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"eval.snr_grid_db: must be strictly increasing, got {grid}")
+    for i, snr_db in enumerate(grid):
+        _check_snr(snr_db, dims, f"eval.snr_grid_db[{i}]")
     curves = sweep_ber_paired(detectors, dims, grid, vectors, RngStream(cfg["seed"]),
                               channel_block=section["channel_block"])
     stem = Path(cfg["out_dir"]) / section["report_stem"]
@@ -339,6 +349,8 @@ def cmd_diagnose(cfg: dict, config_dir: Path) -> int:
     noiseless, snr_db = section["noiseless"], section["snr_db"]
     if not noiseless and snr_db is None:
         raise ConfigError("diagnose.snr_db is required when noiseless is false")
+    if not noiseless:
+        _check_snr(snr_db, dims, "diagnose.snr_db")
     rng = RngStream(cfg["seed"])
     records = [run_diagnostics(det, dims, section["ensemble"], noiseless, rng, snr_db=snr_db)
                for det in detectors]

@@ -6,10 +6,13 @@ When several detectors are evaluated together they see identical samples
 (paired comparison).  BER estimation and diagnostics share one batch plan
 and one sampler: the vectors that share a channel (``channel_block``; 1 in
 diagnostics) are drawn and detected together as the columns of one batch,
-at most ``_MAX_BATCH`` wide.  The channel is drawn once per batch and each
-detector runs once per batch on an (M, B) observation, traced in
-diagnostics, while every vector still draws its signal and noise from its
-own substream.  Diagnostics add each vector's G_t and flip ratios to the
+at most ``_MAX_BATCH`` wide.  Each channel block draws its channel, its
+signals and its noise from one substream each, the signals and the noise
+as vector-major draws that a wide block continues across its batches, and
+each detector runs once per batch on an (M, B) observation, traced in
+diagnostics.  At ``channel_block`` 1 every block is one vector, so each
+vector reads the same substreams as when it was drawn on its own.
+Diagnostics add each vector's G_t and flip ratios to the
 partial sum of its fixed Monte Carlo chunk of ``_MC_CHUNK`` vectors and add
 up the partials in chunk order, so the chunk size is part of what makes a
 diagnostics result reproducible.
@@ -51,7 +54,7 @@ from .detectors import (
 )
 from .system_model import NoiseModel, RngStream, SystemDims, realify_channel, sample_channel, sample_signal, transmit
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Substream domains inside one evaluation run.
 _CHAN, _SIG, _NOISE = 0, 1, 2
@@ -208,8 +211,11 @@ class BerCurve:
     points: list = field(default_factory=list)
     param_fingerprint: str = ""
     timestamp: Optional[str] = None  # None keeps report files byte-reproducible
+    channel_block: int = 1  # vectors per channel draw; 1 is i.i.d. fading
 
     def __post_init__(self):
+        if self.channel_block < 1:
+            raise ValueError(f"channel_block must be >= 1, got {self.channel_block}")
         snrs = [p.snr_db for p in self.points]
         if any(b <= a for a, b in zip(snrs, snrs[1:])):
             raise ValueError("SNR values must be strictly increasing")
@@ -217,34 +223,29 @@ class BerCurve:
             raise ValueError("all points must share the curve's detector id")
 
 
-def _channel_batches(num_vectors: int, channel_block: int):
-    """Contiguous vector ranges that each share one channel and are at most
-    ``_MAX_BATCH`` wide, in vector order."""
-    for block_lo in range(0, num_vectors, channel_block):
-        block_hi = min(block_lo + channel_block, num_vectors)
-        for lo in range(block_lo, block_hi, _MAX_BATCH):
-            yield range(lo, min(lo + _MAX_BATCH, block_hi))
-
-
-def _draw_batch_sample(dims, noise, rng, batch, channel_block):
-    """(H, X, Y) of the vectors ``batch``, which share channel block
-    b = batch[0] // channel_block: H drawn once from rng.child(_CHAN, b),
-    column j of X (N, B) and Y (M, B) the signal and observation of vector
-    i = batch[j], drawn from rng.child(_SIG, i) and rng.child(_NOISE, i)."""
-    H = realify_channel(sample_channel(dims, rng.child(_CHAN, batch[0] // channel_block)))
-    X = np.empty((dims.N, len(batch)))
-    Y = np.empty((dims.M, len(batch)))
-    for j, i in enumerate(batch):
-        sample = transmit(H, sample_signal(dims, rng.child(_SIG, i)), noise, rng.child(_NOISE, i))
-        X[:, j], Y[:, j] = sample.x, sample.y
-    return H, X, Y
-
-
 def _sample_batches(dims, noise, rng, num_vectors, channel_block):
     """The one sample path of BER estimation and diagnostics: (batch, H, X, Y)
-    for each batch of _channel_batches, in vector order."""
-    for batch in _channel_batches(num_vectors, channel_block):
-        yield (batch, *_draw_batch_sample(dims, noise, rng, batch, channel_block))
+    for contiguous vector ranges ``batch`` that share one channel and are at
+    most ``_MAX_BATCH`` wide, in vector order.
+
+    Vector i of channel block b = i // channel_block takes the channel drawn
+    from rng.child(_CHAN, b), and its signal and noise from row
+    i - b * channel_block of one vector-major draw each on rng.child(_SIG, b)
+    and rng.child(_NOISE, b).  A block wider than ``_MAX_BATCH`` keeps
+    drawing from its two generators across its batches.  Column j of X
+    (N, B) and Y (M, B) is vector batch[j].
+    """
+    for b, block_lo in enumerate(range(0, num_vectors, channel_block)):
+        block_hi = min(block_lo + channel_block, num_vectors)
+        H = realify_channel(sample_channel(dims, rng.child(_CHAN, b)))
+        signals = rng.child(_SIG, b).generator()
+        noises = rng.child(_NOISE, b)
+        if noise.sigma2 != 0:  # a noiseless transmit from an RngStream builds no generator
+            noises = noises.generator()
+        for lo in range(block_lo, block_hi, _MAX_BATCH):
+            batch = range(lo, min(lo + _MAX_BATCH, block_hi))
+            X = sample_signal(dims, signals, len(batch))
+            yield batch, H, X, transmit(H, X, noise, noises).y
 
 
 def estimate_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_db: float,
@@ -303,7 +304,8 @@ def sweep_ber_paired(detectors: Sequence[Detector], dims: SystemDims, snr_grid_d
         raise ValueError("SNR grid must be strictly increasing")
     curves = {det.name: BerCurve(detector=det.name, n=dims.n, m=dims.m, depth=det.depth,
                                  seed=rng.seed, stream_id=rng.stream_id,
-                                 param_fingerprint=det.param_fingerprint)
+                                 param_fingerprint=det.param_fingerprint,
+                                 channel_block=channel_block)
               for det in detectors}
     for p, snr_db in enumerate(grid):
         points = estimate_ber_paired(detectors, dims, snr_db, num_vectors, rng.child(p),

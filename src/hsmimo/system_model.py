@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -112,10 +113,11 @@ class NoiseModel:
 
 @dataclass
 class TransmissionSample:
-    """One transmitted/received pair under a fixed channel: y = Hx + w."""
+    """A transmitted/received pair, or a batch of them as columns, under a
+    fixed channel: y = Hx + w."""
 
-    x: np.ndarray  # length N, entries +/-1
-    y: np.ndarray  # length M
+    x: np.ndarray  # (N,) or (N, B), entries +/-1
+    y: np.ndarray  # (M,) or (M, B)
     channel: np.ndarray  # real M x N channel the sample was sent through
     noise: NoiseModel
 
@@ -173,28 +175,35 @@ def derealify_vector(v: np.ndarray) -> np.ndarray:
     return v[:half] + 1j * v[half:]
 
 
-def sample_signal(dims: SystemDims, rng) -> np.ndarray:
-    """Uniform +/-1 signal vector of length N."""
+def sample_signal(dims: SystemDims, rng, vectors: Optional[int] = None) -> np.ndarray:
+    """Uniform +/-1 signal: one vector of length N, or ``vectors`` of them as
+    the columns of an (N, vectors) array.  Column j is row j of one
+    vector-major draw, so a one-column batch equals the single vector."""
     gen = _as_generator(rng)
-    return 1.0 - 2.0 * gen.integers(0, 2, size=dims.N).astype(float)
+    size = dims.N if vectors is None else (vectors, dims.N)
+    return (1.0 - 2.0 * gen.integers(0, 2, size=size).astype(float)).T
 
 
 def transmit(channel: np.ndarray, x: np.ndarray, noise: NoiseModel, rng) -> TransmissionSample:
     """Send x through the real channel: y = Hx + w.
 
-    Noise components are i.i.d. zero-mean Gaussian with variance
-    sigma_w^2 / 2 per real component.  A noiseless transmission from an
-    RngStream draws nothing (the stream is replayable, so skipping it moves
-    no other draw); a raw Generator is advanced by M normals either way,
-    so callers sharing one generator see the same later draws.
+    ``x`` is one signal (N,) or a batch of signals (N, B), one per column;
+    y is then (M,) or (M, B).  Noise components are i.i.d. zero-mean
+    Gaussian with variance sigma_w^2 / 2 per real component; column j of a
+    batch takes row j of one vector-major (B, M) draw, so a one-column
+    batch sees the noise of the single vector.  A noiseless transmission
+    from an RngStream draws nothing (the stream is replayable, so skipping
+    it moves no other draw); a raw Generator is advanced by M normals per
+    vector either way, so callers sharing one generator see the same later
+    draws.
     """
     channel = np.asarray(channel)
     x = np.asarray(x, dtype=float)
     M, N = channel.shape
-    if x.shape != (N,):
-        raise ValueError(f"signal length {x.shape} does not match channel width {N}")
+    if x.ndim not in (1, 2) or x.shape[0] != N:
+        raise ValueError(f"signal shape {x.shape} does not match channel width {N}")
     y = channel @ x
     if noise.sigma2 != 0 or not isinstance(rng, RngStream):
         gen = _as_generator(rng)
-        y += math.sqrt(noise.per_real_component_variance) * gen.standard_normal(M)
+        y += math.sqrt(noise.per_real_component_variance) * gen.standard_normal(y.shape[::-1]).T
     return TransmissionSample(x=x, y=y, channel=channel, noise=noise)

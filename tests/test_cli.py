@@ -293,6 +293,10 @@ class TestStrictConfig:
         ("train", "train.learning_rate", math.inf, "train.learning_rate: must be finite"),
         ("eval", "eval.detectors[1].eta", math.nan, "eval.detectors[1].eta: must be finite"),
         ("train", "train.T", math.inf, "train.T: expected integer"),
+        ("eval", "eval.snr_grid_db", [-4000.0, 10.0],
+         "eval.snr_grid_db[0]: snr_db must give a finite noise variance"),
+        ("diagnose", "diagnose.snr_db", -4000.0,
+         "diagnose.snr_db: snr_db must give a finite noise variance"),
     ])
     def test_bad_value_exits_2_naming_the_key(self, tmp_path, capsys, command, path, value,
                                               named):

@@ -24,7 +24,7 @@ from hsmimo.evaluation import (
     Detector,
     QuadratureConfig,
     ValidationError,
-    _draw_batch_sample,
+    _sample_batches,
     bit_flip_ratio,
     brute_force_expectation,
     estimate_ber,
@@ -43,8 +43,8 @@ from hsmimo.evaluation import (
     verify_hs_identity,
     write_report,
 )
-from hsmimo.system_model import (NoiseModel, RngStream, SystemDims, realify_channel,
-                                 sample_channel, sample_signal, transmit)
+from hsmimo.system_model import (NoiseModel, RngStream, SystemDims, TransmissionSample,
+                                 realify_channel, sample_channel, sample_signal, transmit)
 
 
 def perfect_detector(name="perfect"):
@@ -74,22 +74,35 @@ def five_detectors():
     ]
 
 
-def draw_vector_sample(dims, noise, rng, i, channel_block):
-    """Reference draw of vector ``i`` alone, from the public sampling functions
-    and the evaluation stream layout: the channel of block b from
-    rng.child(0, b), the signal and noise of vector i from rng.child(1, i)
-    and rng.child(2, i)."""
-    H = realify_channel(sample_channel(dims, rng.child(0, i // channel_block)))
-    return transmit(H, sample_signal(dims, rng.child(1, i)), noise, rng.child(2, i))
+def draw_vector_samples(dims, noise, rng, num_vectors, channel_block):
+    """Reference draw of vectors 0..num_vectors-1, one single-vector
+    TransmissionSample each, in order, from the public sampling functions and
+    the evaluation stream layout: block b = i // channel_block takes its
+    channel from rng.child(0, b), and its signals and noise from one
+    generator each on rng.child(1, b) and rng.child(2, b), drawn vector-major
+    at most _MAX_BATCH vectors at a time.  Each batch's observations come
+    from one (M, B) product, as in the sampler: BLAS rounds a column of a
+    wider product differently from a single-vector product."""
+    for b, lo in enumerate(range(0, num_vectors, channel_block)):
+        H = realify_channel(sample_channel(dims, rng.child(0, b)))
+        signals, noises = rng.child(1, b).generator(), rng.child(2, b).generator()
+        width = min(channel_block, num_vectors - lo)
+        for start in range(0, width, _MAX_BATCH):
+            batch = transmit(H, sample_signal(dims, signals, min(_MAX_BATCH, width - start)),
+                             noise, noises)
+            for x, y in zip(batch.x.T, batch.y.T):
+                yield TransmissionSample(x=x, y=y, channel=H, noise=noise)
 
 
 def per_vector_counts(detectors, dims, snr_db, vectors, rng, channel_block):
-    """Reference loop: {name: (bit errors, diverged vectors)} over ``vectors``
-    from single-vector detector calls, one freshly drawn sample at a time."""
+    """Reference loop: {name: (bit errors, diverged vectors)} over the range
+    ``vectors`` of a run of vectors.stop vectors, from single-vector detector
+    calls on the reference samples."""
     noise = NoiseModel.from_snr(snr_db, dims.n)
     counts = {det.name: [0, 0] for det in detectors}
+    samples = list(draw_vector_samples(dims, noise, rng, vectors.stop, channel_block))
     for i in vectors:
-        sample = draw_vector_sample(dims, noise, rng, i, channel_block)
+        sample = samples[i]
         for det in detectors:
             try:
                 res = det.run(sample.channel, sample.y, noise.sigma2)
@@ -130,12 +143,11 @@ class TestBatchPlan:
         block, rng = _MAX_BATCH + 44, RngStream(36)
         calls = self.calls(2 * block, block, rng)
         assert [w for _, w in calls] == [_MAX_BATCH, 44, _MAX_BATCH, 44]
-        noise = NoiseModel.from_snr(10.0, self.dims.n)
         lo = 0
         for H, width in calls:
             assert lo // block == (lo + width - 1) // block  # one block per batch
             np.testing.assert_array_equal(
-                H, draw_vector_sample(self.dims, noise, rng, lo, block).channel)
+                H, realify_channel(sample_channel(self.dims, rng.child(0, lo // block))))
             lo += width
 
 
@@ -155,15 +167,48 @@ class TestBatchedEstimate:
         assert all(errors > 0 for errors, _ in reference.values())
 
     def test_batch_columns_are_the_vector_samples(self):
+        # at channel_block 5, vectors 5..9 are block 1: their signals and noise
+        # are rows 0..4 of one vector-major draw each on the block's substreams
         dims = SystemDims(3, 2)
         noise = NoiseModel.from_snr(10.0, dims.n)
         rng = RngStream(31)
-        H, X, Y = _draw_batch_sample(dims, noise, rng, [7, 8, 9], channel_block=5)
-        for j, i in enumerate([7, 8, 9]):
-            sample = draw_vector_sample(dims, noise, rng, i, 5)
-            np.testing.assert_array_equal(H, sample.channel)
-            np.testing.assert_array_equal(X[:, j], sample.x)
-            np.testing.assert_array_equal(Y[:, j], sample.y)
+        batches = list(_sample_batches(dims, noise, rng, 10, 5))
+        assert [list(batch) for batch, *_ in batches] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        _, H, X, Y = batches[1]
+        np.testing.assert_array_equal(H, realify_channel(sample_channel(dims, rng.child(0, 1))))
+        signs = rng.child(1, 1).generator().integers(0, 2, size=(5, dims.N))
+        np.testing.assert_array_equal(X, 1.0 - 2.0 * signs.T)
+        w = rng.child(2, 1).generator().standard_normal((5, dims.M))
+        np.testing.assert_array_equal(
+            Y, H @ X + math.sqrt(noise.per_real_component_variance) * w.T)
+        sample = transmit(H, sample_signal(dims, rng.child(1, 1), 5), noise, rng.child(2, 1))
+        np.testing.assert_array_equal(X, sample.x)
+        np.testing.assert_array_equal(Y, sample.y)
+
+    def test_splitting_a_block_does_not_change_its_samples(self, monkeypatch):
+        # at a cap of 3 a 10-vector block is drawn in batches of 3, 3, 3 and 1
+        # that continue the block's two generators instead of restarting them
+        dims, rng = SystemDims(3, 2), RngStream(37)
+        noise = NoiseModel.from_snr(5.0, dims.n)
+
+        def draw():
+            batches = list(_sample_batches(dims, noise, rng, 10, 10))
+            points = estimate_ber_paired(five_detectors(), dims, 5.0, 10, rng, channel_block=10)
+            return ([list(batch) for batch, *_ in batches],
+                    np.hstack([X for _, _, X, _ in batches]),
+                    np.hstack([Y for _, _, _, Y in batches]),
+                    {name: (p.bit_errors, p.diverged_vectors) for name, p in points.items()})
+
+        whole = draw()
+        monkeypatch.setattr("hsmimo.evaluation._MAX_BATCH", 3)
+        split = draw()
+        assert whole[0] == [list(range(10))]
+        assert split[0] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        np.testing.assert_array_equal(split[1], whole[1])
+        # numpy forms a one-column product with gemv, which rounds differently
+        # from the same column of a wider gemm; the noise is the same draw
+        np.testing.assert_allclose(split[2], whole[2], rtol=0, atol=1e-12)
+        assert split[3] == whole[3]
 
     def test_one_diverging_column_counts_one_vector(self):
         # a huge step overflows only on the column whose observation is huge:
@@ -187,7 +232,7 @@ class TestBatchedEstimate:
     def test_ml_detector_scores_a_batch(self):
         dims = SystemDims(2, 2)
         noise = NoiseModel.from_snr(5.0, dims.n)
-        H, X, Y = _draw_batch_sample(dims, noise, RngStream(34), list(range(6)), 6)
+        _, H, X, Y = next(_sample_batches(dims, noise, RngStream(34), 6, 6))
         res = make_ml_detector().run(H, Y, noise.sigma2)
         assert res.hard.shape == X.shape
         assert not res.diverged.any()
@@ -277,6 +322,12 @@ class TestSweep:
         solo = sweep_ber(make_mmse_detector(), dims, [5.0, 10.0], 200, RngStream(10))
         assert curves["mmse"].points == solo.points
 
+    def test_curves_record_the_channel_block(self):
+        dims = SystemDims(3, 2)
+        assert sweep_ber(make_mmse_detector(), dims, [10.0], 20, RngStream(8)).channel_block == 1
+        curve = sweep_ber(make_mmse_detector(), dims, [10.0], 20, RngStream(8), channel_block=7)
+        assert curve.channel_block == 7
+
 
 class TestDiagnosticsOps:
     def test_gradient_amplitude_zero_at_solution(self):
@@ -318,7 +369,7 @@ class TestDiagnosticsOps:
         det = make_ths_detector(ThsParams.initial(6, eta=0.1, zeta=1.1))
         rng = RngStream(14)
         rec = run_diagnostics(det, dims, ensemble=1, noiseless=True, rng=rng)
-        sample = draw_vector_sample(dims, NoiseModel.noiseless(), rng, 0, 1)
+        sample = next(draw_vector_samples(dims, NoiseModel.noiseless(), rng, 1, 1))
         res = det.run(sample.channel, sample.y, 0.0, trace=True)
         np.testing.assert_array_equal(rec.mean_gradient_amplitude,
                                       res.trace.gradient_amplitude[1:])
@@ -336,11 +387,11 @@ class TestDiagnosticsOps:
         noise = NoiseModel.noiseless() if noiseless else NoiseModel.from_snr(10.0, dims.n)
         rec = run_diagnostics(det, dims, ensemble, noiseless, rng,
                               snr_db=None if noiseless else 10.0)
+        samples = list(draw_vector_samples(dims, noise, rng, ensemble, 1))
         partials = []
         for lo in range(0, ensemble, _MC_CHUNK):
             g, flips = np.zeros(det.depth), np.zeros(det.depth)
-            for i in range(lo, min(lo + _MC_CHUNK, ensemble)):
-                sample = draw_vector_sample(dims, noise, rng, i, 1)
+            for sample in samples[lo:lo + _MC_CHUNK]:
                 tr = det.run(sample.channel, sample.y, noise.sigma2, trace=True).trace
                 g += tr.gradient_amplitude[1:]
                 flips += tr.bit_flip_ratio
@@ -441,16 +492,17 @@ class TestBruteForceExpectation:
 
 
 class TestReports:
-    def make_curve(self, detector="mmse", n_points=3):
+    def make_curve(self, detector="mmse", n_points=3, channel_block=1):
         points = [BerPoint.from_counts(float(s), detector, 8000, 40 * (k + 1), 1000)
                   for k, s in enumerate(range(0, 2 * n_points, 2))]
         return BerCurve(detector=detector, n=4, m=4, depth=30, seed=5, stream_id=0,
-                        points=points, param_fingerprint="deadbeef")
+                        points=points, param_fingerprint="deadbeef", channel_block=channel_block)
 
     def test_roundtrip_exact(self, tmp_path):
-        curves = [self.make_curve("mmse"), self.make_curve("ths")]
+        curves = [self.make_curve("mmse"), self.make_curve("ths", channel_block=100)]
         _, json_path = write_report(curves, tmp_path / "report")
         assert read_report(json_path) == curves
+        assert [c.channel_block for c in read_report(json_path)] == [1, 100]
 
     def test_csv_row_count(self, tmp_path):
         curves = [self.make_curve("mmse", 3), self.make_curve("ths", 3)]
@@ -473,3 +525,6 @@ class TestReports:
         with pytest.raises(ValueError):
             BerCurve(detector="other", n=4, m=4, depth=None, seed=0, stream_id=0,
                      points=good.points)
+        with pytest.raises(ValueError, match="channel_block"):
+            BerCurve(detector="mmse", n=4, m=4, depth=None, seed=0, stream_id=0,
+                     channel_block=0)

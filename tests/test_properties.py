@@ -113,7 +113,8 @@ def ber_curves(draw):
                                seed=draw(st.integers(0, 2 ** 63 - 1)),
                                stream_id=draw(st.integers(0, 2 ** 31)), points=points,
                                param_fingerprint=draw(text),
-                               timestamp=draw(st.none() | text)))
+                               timestamp=draw(st.none() | text),
+                               channel_block=draw(st.integers(1, 10 ** 6))))
     return curves
 
 

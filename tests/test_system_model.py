@@ -154,6 +154,21 @@ class TestSampleSignal:
         np.testing.assert_array_equal(sample_signal(dims, RngStream(1, 2)),
                                       sample_signal(dims, RngStream(1, 2)))
 
+    def test_batch_columns_are_rows_of_one_vector_major_draw(self):
+        dims = SystemDims(6, 4)
+        X = sample_signal(dims, RngStream(1, 3), 5)
+        signs = RngStream(1, 3).generator().integers(0, 2, size=(5, dims.N))
+        np.testing.assert_array_equal(X, 1.0 - 2.0 * signs.T)
+        # a one-column batch is the single vector of the same stream
+        np.testing.assert_array_equal(sample_signal(dims, RngStream(1, 3), 1)[:, 0],
+                                      sample_signal(dims, RngStream(1, 3)))
+
+    def test_batches_continue_a_shared_generator(self):
+        dims = SystemDims(6, 4)
+        gen = RngStream(1, 4).generator()
+        parts = np.hstack([sample_signal(dims, gen, 3), sample_signal(dims, gen, 4)])
+        np.testing.assert_array_equal(parts, sample_signal(dims, RngStream(1, 4), 7))
+
     def test_zero_mean(self):
         gen = np.random.default_rng(10)
         dims = SystemDims(1, 1)
@@ -203,6 +218,26 @@ class TestTransmit:
         w = math.sqrt(noise.sigma2 / 2) * stream.generator().standard_normal(dims.M)
         np.testing.assert_array_equal(transmit(H, x, noise, stream).y, H @ x + w)
 
+    def test_batch_noise_columns_are_rows_of_one_vector_major_draw(self):
+        # a zero channel leaves y = w, the scaled noise draw itself
+        dims = SystemDims(4, 3)
+        noise = NoiseModel.from_snr(7.0, dims.n)
+        X = sample_signal(dims, RngStream(6, 1), 5)
+        stream = RngStream(6, 3)
+        sample = transmit(np.zeros((dims.M, dims.N)), X, noise, stream)
+        w = math.sqrt(noise.sigma2 / 2) * stream.generator().standard_normal((5, dims.M))
+        assert sample.y.shape == (dims.M, 5)
+        np.testing.assert_array_equal(sample.y, w.T)
+
+    def test_one_column_batch_equals_single_vector(self):
+        dims = SystemDims(50, 32)
+        H = realify_channel(sample_channel(dims, RngStream(7)))
+        x = sample_signal(dims, RngStream(7, 1))
+        noise = NoiseModel.from_snr(10.0, dims.n)
+        single = transmit(H, x, noise, RngStream(7, 2))
+        batch = transmit(H, x[:, None], noise, RngStream(7, 2))
+        np.testing.assert_array_equal(batch.y[:, 0], single.y)
+
     def test_identity_channel(self):
         H = np.eye(6)
         x = sample_signal(SystemDims(3, 3), RngStream(4))
@@ -224,3 +259,7 @@ class TestTransmit:
         H = np.eye(4)
         with pytest.raises(ValueError):
             transmit(H, np.ones(3), NoiseModel.noiseless(), RngStream(0))
+        with pytest.raises(ValueError):
+            transmit(H, np.ones((3, 2)), NoiseModel.noiseless(), RngStream(0))
+        with pytest.raises(ValueError):
+            transmit(H, np.ones((4, 2, 1)), NoiseModel.noiseless(), RngStream(0))
